@@ -14,7 +14,7 @@ from rbx.orbits import CLAIMS, verify_claim
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes per claim"
+        "--jobs", type=int, default=1, help="worker threads per claim"
     )
     args = parser.parse_args(argv)
 

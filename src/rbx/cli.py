@@ -124,7 +124,7 @@ def _cmd_check(args) -> int:
         else:
             print(f"not RB weight={w}")
         return 1
-    r = RBOperator(op, w)
+    r = RBOperator._verified(op, w)
     split = "true" if is_splitting(r) else "false"
     case = _case_tag(r)
     if args.format == "machine":
@@ -195,7 +195,7 @@ def _cmd_construct(args) -> int:
         if not check_rb(op, w):
             print(f"not RB weight={w}")
             return 1
-        _emit(operator_to_text(apply_phi(RBOperator(op, w))))
+        _emit(operator_to_text(apply_phi(RBOperator._verified(op, w))))
         return 0
     if verb == "conjugate":
         op, w = _load_operator(args, a)
@@ -205,7 +205,7 @@ def _cmd_construct(args) -> int:
         if not check_rb(op, w):
             print(f"not RB weight={w}")
             return 1
-        _emit(operator_to_text(conjugate(RBOperator(op, w), psi.matrix)))
+        _emit(operator_to_text(conjugate(RBOperator._verified(op, w), psi.matrix)))
         return 0
     if verb == "l-e":
         if args.element is None:
@@ -226,7 +226,7 @@ def _cmd_construct(args) -> int:
         if not check_rb(op, w):
             print(f"not RB weight={w}")
             return 1
-        triple = rb_to_triple(RBOperator(op, w))
+        triple = rb_to_triple(RBOperator._verified(op, w))
         _emit(operator_to_text(triple_to_rb(triple)))
         return 0
     raise RbxError(f"unknown construct verb {verb!r}")

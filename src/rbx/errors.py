@@ -94,6 +94,15 @@ class SearchSpaceTooLargeError(RbxError):
     """The requested enumeration exceeds the feasibility guard."""
 
 
+class LeafRejectedError(RbxError):
+    """A search leaf fails the identity it was searched under.
+
+    The search only reaches assignments that satisfy every pair equation,
+    so this signals a fault in the search itself, never a property of the
+    input.
+    """
+
+
 class DegenerateFormError(RbxError):
     """The bilinear form is degenerate (or otherwise unusable)."""
 

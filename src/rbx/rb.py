@@ -160,6 +160,18 @@ class RBOperator:
         self.weight = w
 
     @classmethod
+    def _verified(cls, operator: LinearOperator, weight) -> "RBOperator":
+        """Wrap an operator without checking it.
+
+        Only for callers that have just checked this operator at this
+        weight themselves.
+        """
+        r = cls.__new__(cls)
+        r.operator = operator
+        r.weight = coerce_weight(operator.algebra.field, weight)
+        return r
+
+    @classmethod
     def from_rows(cls, algebra: Algebra, rows, weight) -> "RBOperator":
         return cls(LinearOperator.from_rows(algebra, rows), weight)
 
@@ -601,7 +613,7 @@ def diagnostics(op: LinearOperator, weight) -> OperatorReport:
     w = coerce_weight(field, weight)
     if not check_rb(op, w):
         raise NotRBError("diagnostics requires a verified operator")
-    r = RBOperator(op, w)
+    r = RBOperator._verified(op, w)
     m = op.matrix
     kernel = op.kernel()
     image = op.image()

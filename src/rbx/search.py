@@ -14,9 +14,11 @@ in index order and candidate values are tried in lexicographic order, so
 the result list is deterministic; a raw enumerator with none of this
 machinery double-checks the pruned one on small spaces.
 
-All arithmetic here runs on plain integer residues; matrices only become
-FieldElement objects at the leaves, where the full identity is re-verified
-through the exact checkers.
+All arithmetic here runs on plain integer residues.  Each leaf the search
+reaches is checked once, on residues, against the pair equation of every
+ordered basis pair (_leaf_ok); a leaf that fails is an internal error and
+raises LeafRejectedError.  Only then do matrices become FieldElement
+objects, through constructors that do not check them again.
 """
 
 from __future__ import annotations
@@ -25,16 +27,10 @@ import itertools
 from concurrent.futures import ThreadPoolExecutor
 
 from .algebras import Algebra, check_automorphism
-from .errors import SearchSpaceTooLargeError, UnsupportedFieldError
+from .errors import LeafRejectedError, SearchSpaceTooLargeError, UnsupportedFieldError
 from .fields import PrimeField, QuadraticExtension
 from .linalg import Matrix
-from .rb import (
-    LinearOperator,
-    RBOperator,
-    check_derivation_weight,
-    check_rb,
-    coerce_weight,
-)
+from .rb import LinearOperator, RBOperator, coerce_weight
 
 RAW_GUARD = 1 << 26
 
@@ -92,13 +88,15 @@ class _RBEmitter:
 
     def pair_equation(self, cols, i, j):
         ia = self.ia
-        p = ia.p
-        v = ia.product(cols[i], self.basis[j])
-        for t, x in enumerate(ia.product(self.basis[i], cols[j])):
-            v[t] = (v[t] + x) % p
-        if self.w:
-            for t, x in enumerate(ia.tvec[i][j]):
-                v[t] = (v[t] + self.w * x) % p
+        p, w = ia.p, self.w
+        v = [
+            (x + y + w * z) % p
+            for x, y, z in zip(
+                ia.product(cols[i], self.basis[j]),
+                ia.product(self.basis[i], cols[j]),
+                ia.tvec[i][j],
+            )
+        ]
         return v, ia.product(cols[i], cols[j])
 
 
@@ -122,13 +120,13 @@ class _DerivationEmitter:
 
     def pair_equation(self, cols, i, j):
         ia = self.ia
-        p = ia.p
-        rhs = ia.product(cols[i], self.basis[j])
-        for t, x in enumerate(ia.product(self.basis[i], cols[j])):
-            rhs[t] = (rhs[t] + x) % p
-        if self.w:
-            for t, x in enumerate(ia.product(cols[i], cols[j])):
-                rhs[t] = (rhs[t] + self.w * x) % p
+        p, w = ia.p, self.w
+        rhs = [
+            (x + y) % p
+            for x, y in zip(ia.product(cols[i], self.basis[j]), ia.product(self.basis[i], cols[j]))
+        ]
+        if w:
+            rhs = [(r + w * z) % p for r, z in zip(rhs, ia.product(cols[i], cols[j]))]
         return list(ia.tvec[i][j]), rhs
 
 
@@ -275,49 +273,97 @@ def _full_pools(ia: IntAlgebra, graded: bool):
     return pools
 
 
+def _leaf_ok(ia: IntAlgebra, emitter, cols) -> bool:
+    """Whether a full column assignment meets the emitter's identity.
+
+    Tests sum_m coeffs[m] * cols[m] == rhs (mod p) on every ordered basis
+    pair (i, j), the pairs the FieldElement checkers test.
+    """
+    dim, p = ia.dim, ia.p
+    for i in range(dim):
+        for j in range(dim):
+            coeffs, rhs = emitter.pair_equation(cols, i, j)
+            acc = rhs
+            for m, cm in enumerate(coeffs):
+                if cm:
+                    acc = [a - cm * x for a, x in zip(acc, cols[m])]
+            if any(a % p for a in acc):
+                return False
+    return True
+
+
+def _keeps_grading(ia: IntAlgebra, cols) -> bool:
+    grading = ia.algebra.grading
+    if grading is None:
+        return True
+    return all(
+        not x or grading[k] == grading[j] for j, col in enumerate(cols) for k, x in enumerate(col)
+    )
+
+
+def _rank_mod_p(cols, p: int) -> int:
+    """Rank over F_p of the square matrix with these residue columns."""
+    rows = [list(col) for col in cols]
+    dim = len(rows)
+    rank = 0
+    for c in range(dim):
+        pivot = next((r for r in range(rank, dim) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], p - 2, p)
+        for r in range(rank + 1, dim):
+            f = rows[r][c] * inv % p
+            if f:
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _checked_leaves(ia: IntAlgebra, emitter, graded: bool, jobs: int) -> list:
+    """Search, sort row-major, and check every leaf once on residues."""
+    found = _search(ia, emitter, _full_pools(ia, graded), jobs)
+    found.sort(key=lambda cols: pack_columns(cols, ia.dim))
+    for cols in found:
+        if not _leaf_ok(ia, emitter, cols) or (graded and not _keeps_grading(ia, cols)):
+            raise LeafRejectedError(
+                f"search leaf {pack_columns(cols, ia.dim)} on {ia.algebra.name} "
+                "fails its leaf check"
+            )
+    return found
+
+
 def enumerate_rb(a: Algebra, weight, jobs: int = 1) -> list[RBOperator]:
     """All Rota-Baxter operators of the given weight, sorted row-major."""
     ia = IntAlgebra(a)
     w = coerce_weight(a.field, weight)
-    emitter = _RBEmitter(ia, w.value)
-    found = _search(ia, emitter, _full_pools(ia, graded=False), jobs)
-    found.sort(key=lambda cols: pack_columns(cols, ia.dim))
-    out = []
-    for cols in found:
-        m = _columns_to_matrix(a.field, cols, ia.dim)
-        op = LinearOperator(a, m)
-        if check_rb(op, w):
-            out.append(RBOperator(op, w))
-    return out
+    found = _checked_leaves(ia, _RBEmitter(ia, w.value), graded=False, jobs=jobs)
+    return [
+        RBOperator._verified(LinearOperator(a, _columns_to_matrix(a.field, cols, ia.dim)), w)
+        for cols in found
+    ]
 
 
 def enumerate_automorphisms(a: Algebra, jobs: int = 1) -> list[Matrix]:
-    """All algebra automorphisms (grading-preserving when graded), sorted."""
+    """All algebra automorphisms (grading-preserving when graded), sorted.
+
+    The search encodes multiplicativity only; singular leaves are dropped.
+    """
     ia = IntAlgebra(a)
-    emitter = _AutoEmitter(ia)
-    found = _search(ia, emitter, _full_pools(ia, graded=True), jobs)
-    found.sort(key=lambda cols: pack_columns(cols, ia.dim))
-    out = []
-    for cols in found:
-        m = _columns_to_matrix(a.field, cols, ia.dim)
-        if check_automorphism(a, m):
-            out.append(m)
-    return out
+    found = _checked_leaves(ia, _AutoEmitter(ia), graded=True, jobs=jobs)
+    return [
+        _columns_to_matrix(a.field, cols, ia.dim)
+        for cols in found
+        if _rank_mod_p(cols, ia.p) == ia.dim
+    ]
 
 
 def enumerate_derivations(a: Algebra, weight, jobs: int = 1) -> list[LinearOperator]:
     """All maps obeying the weighted derivation identity, sorted row-major."""
     ia = IntAlgebra(a)
     w = coerce_weight(a.field, weight)
-    emitter = _DerivationEmitter(ia, w.value)
-    found = _search(ia, emitter, _full_pools(ia, graded=False), jobs)
-    found.sort(key=lambda cols: pack_columns(cols, ia.dim))
-    out = []
-    for cols in found:
-        op = LinearOperator(a, _columns_to_matrix(a.field, cols, ia.dim))
-        if check_derivation_weight(op, w):
-            out.append(op)
-    return out
+    found = _checked_leaves(ia, _DerivationEmitter(ia, w.value), graded=False, jobs=jobs)
+    return [LinearOperator(a, _columns_to_matrix(a.field, cols, ia.dim)) for cols in found]
 
 
 # ---------------------------------------------------------------------------
@@ -332,46 +378,19 @@ def _guard(p: int, dim: int):
         )
 
 
-def _raw_rb_ok(ia: IntAlgebra, cols, w: int, basis) -> bool:
-    p, dim = ia.p, ia.dim
-    for i in range(dim):
-        jstart = i if ia.commutative else 0
-        for j in range(jstart, dim):
-            lhs = ia.product(cols[i], cols[j])
-            v = ia.product(cols[i], basis[j])
-            for t, x in enumerate(ia.product(basis[i], cols[j])):
-                v[t] = (v[t] + x) % p
-            if w:
-                for t, x in enumerate(ia.tvec[i][j]):
-                    v[t] = (v[t] + w * x) % p
-            for t in range(dim):
-                acc = 0
-                for m, vm in enumerate(v):
-                    if vm:
-                        acc += vm * cols[m][t]
-                if acc % p != lhs[t]:
-                    return False
-    return True
-
-
 def enumerate_rb_raw(a: Algebra, weight) -> list[RBOperator]:
     """Plain full enumeration of operator matrices; small spaces only."""
     ia = IntAlgebra(a)
     _guard(ia.p, ia.dim)
     w = coerce_weight(a.field, weight)
-    basis = _basis_int(ia.dim)
+    emitter = _RBEmitter(ia, w.value)
     pool = _column_pool(ia.p, ia.dim)
-    found = []
-    for cols in itertools.product(pool, repeat=ia.dim):
-        if _raw_rb_ok(ia, cols, w.value, basis):
-            found.append(cols)
+    found = [cols for cols in itertools.product(pool, repeat=ia.dim) if _leaf_ok(ia, emitter, cols)]
     found.sort(key=lambda cols: pack_columns(cols, ia.dim))
-    out = []
-    for cols in found:
-        op = LinearOperator(a, _columns_to_matrix(a.field, cols, ia.dim))
-        if check_rb(op, w):
-            out.append(RBOperator(op, w))
-    return out
+    return [
+        RBOperator._verified(LinearOperator(a, _columns_to_matrix(a.field, cols, ia.dim)), w)
+        for cols in found
+    ]
 
 
 def enumerate_automorphisms_raw(a: Algebra) -> list[Matrix]:

@@ -1,0 +1,343 @@
+"""The integer leaf check of the search against the FieldElement checkers.
+
+_leaf_ok (with the rank and grading checks for automorphisms) must agree
+with check_rb, check_derivation_weight and check_automorphism on every
+matrix.  Random matrices are almost never in the solution set, so the
+draws mix in known members of it, and near misses one entry away.
+
+The enumerators check each leaf once, on residues, and raise on a leaf
+that fails; the commands that take an operator check it once.
+"""
+
+import contextlib
+import functools
+import io
+import pathlib
+import sys
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from rbx import algebras, rb, search
+from rbx.algebras import Algebra, check_automorphism, termwise_power
+from rbx.cli import main
+from rbx.errors import LeafRejectedError
+from rbx.fields import PrimeField
+from rbx.formats import algebra_from_text, operator_from_text
+from rbx.rb import LinearOperator, check_derivation_weight, check_rb
+from rbx.search import (
+    IntAlgebra,
+    _AutoEmitter,
+    _DerivationEmitter,
+    _RBEmitter,
+    _columns_to_matrix,
+    _keeps_grading,
+    _leaf_ok,
+    _rank_mod_p,
+    enumerate_automorphisms,
+    enumerate_derivations,
+    enumerate_rb,
+)
+
+FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
+
+PRIME_FIXTURES = (
+    "gr2_f3", "k3_f3", "k3_f5", "m2_f3", "j3_f5", "j4_f5", "j4_f13", "sl2_f7", "cd_f5",
+)
+
+# small algebras whose full solution sets are cheap to enumerate, by weight
+RB_ENUMERATED = {0: {"k3_f3", "k3_f5", "m2_f3", "j3_f5"}, 1: {"gr2_f3", "k3_f3", "m2_f3", "j3_f5"}}
+SMALL = RB_ENUMERATED[0] | RB_ENUMERATED[1]
+
+# on K3/F3 this fails the operator, derivation and automorphism identities
+BAD = ((2, 0, 0), (0, 1, 0), (0, 0, 1))
+
+# (operator file, fixture) pairs of known Rota-Baxter operators
+KNOWN_OPS = (
+    ("ex10.op", "j4_f5"), ("ex11.op", "j4_f5"), ("ex12.op", "j4_f13"), ("ex13.op", "j3_f5"),
+)
+
+# Gr2/F3 with its Z/2 grading (odd generators): some of its multiplicative
+# invertible maps break the grading, which no fixture algebra has
+GRADED_GR2 = "gr2_f3_graded"
+
+
+@functools.cache
+def load(name: str) -> IntAlgebra:
+    if name == GRADED_GR2:
+        a = load("gr2_f3").algebra
+        table = [[a.table_vector(i, j) for j in range(a.dim)] for i in range(a.dim)]
+        graded = Algebra(a.field, "Gr2", a.basis, table, unit=a.unit, grading=[0, 1, 1, 0])
+        return IntAlgebra(graded.validate())
+    return IntAlgebra(algebra_from_text((FIXTURES / f"{name}.alg").read_text()))
+
+
+def columns(m) -> tuple:
+    return tuple(tuple(x.value for x in col) for col in m.columns())
+
+
+def scaled(cols, c: int, p: int) -> tuple:
+    return tuple(tuple(c * x % p for x in col) for col in cols)
+
+
+def diagonal(dim: int, c: int) -> tuple:
+    return tuple(tuple(c if k == j else 0 for k in range(dim)) for j in range(dim))
+
+
+@functools.cache
+def enumerated(name: str, kind: str, w: int) -> tuple:
+    enumerate_kind = enumerate_rb if kind == "rb" else enumerate_derivations
+    return tuple(columns(r.matrix) for r in enumerate_kind(load(name).algebra, w))
+
+
+@functools.cache
+def rb_members(name: str, w: int) -> tuple:
+    """Known weight-w operators: zero and -w id, enumerated ones on small
+    algebras (w times a weight-1 operator has weight w), and the shipped
+    examples rescaled the same way."""
+    ia = load(name)
+    p, dim, a = ia.p, ia.dim, ia.algebra
+    out = [diagonal(dim, 0), diagonal(dim, -w % p)]
+    base = 1 if w else 0
+    if name in RB_ENUMERATED[base]:
+        out += [scaled(cols, w or 1, p) for cols in enumerated(name, "rb", base)]
+    for op_file, fixture in KNOWN_OPS:
+        if fixture == name and w:
+            op, w0 = operator_from_text((FIXTURES / op_file).read_text(), a)
+            out.append(scaled(columns(op.matrix), w * pow(w0.value, p - 2, p), p))
+    return tuple(out)
+
+
+@functools.cache
+def derivation_members(name: str, w: int) -> tuple:
+    """Known weight-w derivations: zero, -id/w, and enumerated ones on small
+    algebras (a weight-1 derivation divided by w has weight w)."""
+    ia = load(name)
+    p, dim = ia.p, ia.dim
+    out = [diagonal(dim, 0)]
+    if w:
+        out.append(diagonal(dim, -pow(w, p - 2, p) % p))
+    if name in SMALL:
+        inv = pow(w, p - 2, p) if w else 1
+        out += [scaled(cols, inv, p) for cols in enumerated(name, "derivation", 1 if w else 0)]
+    return tuple(out)
+
+
+@functools.cache
+def auto_members(name: str) -> tuple:
+    """Multiplicative maps: the identity and the zero map (singular), and on
+    small algebras every multiplicative map of the ungraded search, which
+    includes singular and grading-breaking ones."""
+    ia = load(name)
+    out = [diagonal(ia.dim, 1), diagonal(ia.dim, 0)]
+    if name in SMALL or name == GRADED_GR2:
+        out += search._search(ia, _AutoEmitter(ia), search._full_pools(ia, graded=False))
+    return tuple(out)
+
+
+def int_says(ia: IntAlgebra, kind: str, cols, w: int) -> bool:
+    if kind == "rb":
+        return _leaf_ok(ia, _RBEmitter(ia, w), cols)
+    if kind == "derivation":
+        return _leaf_ok(ia, _DerivationEmitter(ia, w), cols)
+    return (
+        _leaf_ok(ia, _AutoEmitter(ia), cols)
+        and _rank_mod_p(cols, ia.p) == ia.dim
+        and _keeps_grading(ia, cols)
+    )
+
+
+def field_says(ia: IntAlgebra, kind: str, cols, w: int) -> bool:
+    a = ia.algebra
+    m = _columns_to_matrix(a.field, cols, ia.dim)
+    if kind == "rb":
+        return check_rb(LinearOperator(a, m), w)
+    if kind == "derivation":
+        return check_derivation_weight(LinearOperator(a, m), w)
+    return check_automorphism(a, m)
+
+
+@st.composite
+def candidates(draw, name: str, kind: str):
+    ia = load(name)
+    p, dim = ia.p, ia.dim
+    w = draw(st.one_of(st.just(0), st.just(1), st.integers(2, p - 1)))
+    members = {"rb": rb_members, "derivation": derivation_members}.get(kind)
+    known = members(name, w) if members else auto_members(name)
+    source = draw(st.sampled_from(("random", "member", "near-miss")))
+    if source == "random":
+        flat = draw(st.lists(st.integers(0, p - 1), min_size=dim * dim, max_size=dim * dim))
+        return tuple(tuple(flat[j * dim : (j + 1) * dim]) for j in range(dim)), w
+    cols = draw(st.sampled_from(known))
+    if source == "near-miss":
+        j, k = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        delta = draw(st.integers(1, p - 1))
+        col = list(cols[j])
+        col[k] = (col[k] + delta) % p
+        cols = cols[:j] + (tuple(col),) + cols[j + 1 :]
+    return cols, w
+
+
+@pytest.mark.parametrize(
+    "name,kind",
+    [(name, kind) for name in PRIME_FIXTURES for kind in ("rb", "derivation", "auto")]
+    + [(GRADED_GR2, "auto")],
+)
+def test_leaf_check_matches_field_checker(name, kind):
+    ia = load(name)
+
+    @given(candidates(name, kind))
+    def agree(drawn):
+        cols, w = drawn
+        assert int_says(ia, kind, cols, w) == field_says(ia, kind, cols, w)
+
+    agree()
+
+
+def test_each_auto_leaf_check_rejects():
+    # the rank and the grading check each reject maps that pass the pair
+    # identity, and the field checker rejects them too
+    ia = load(GRADED_GR2)
+    verdicts = {"rank": 0, "grading": 0, "auto": 0}
+    for cols in auto_members(GRADED_GR2):
+        assert _leaf_ok(ia, _AutoEmitter(ia), cols)
+        if _rank_mod_p(cols, ia.p) < ia.dim:
+            verdict = "rank"
+        elif not _keeps_grading(ia, cols):
+            verdict = "grading"
+        else:
+            verdict = "auto"
+        verdicts[verdict] += 1
+        assert field_says(ia, "auto", cols, 0) == (verdict == "auto")
+    assert all(verdicts.values())
+
+
+# --- leaf rejection ----------------------------------------------------------
+
+
+def corrupt_search(monkeypatch, cols):
+    monkeypatch.setattr(search, "_search", lambda ia, emitter, pools, jobs=1: [cols])
+
+
+def test_rejected_rb_leaf_raises(monkeypatch):
+    ia = load("k3_f3")
+    assert not check_rb(LinearOperator(ia.algebra, _columns_to_matrix(ia.algebra.field, BAD, 3)), 1)
+    corrupt_search(monkeypatch, BAD)
+    with pytest.raises(LeafRejectedError):
+        enumerate_rb(ia.algebra, 1)
+
+
+def test_rejected_derivation_leaf_raises(monkeypatch):
+    ia = load("k3_f3")
+    op = LinearOperator(ia.algebra, _columns_to_matrix(ia.algebra.field, BAD, 3))
+    assert not check_derivation_weight(op, 1)
+    corrupt_search(monkeypatch, BAD)
+    with pytest.raises(LeafRejectedError):
+        enumerate_derivations(ia.algebra, 1)
+
+
+def test_rejected_auto_leaf_raises(monkeypatch):
+    ia = load("k3_f3")
+    assert not check_automorphism(ia.algebra, _columns_to_matrix(ia.algebra.field, BAD, 3))
+    corrupt_search(monkeypatch, BAD)
+    with pytest.raises(LeafRejectedError):
+        enumerate_automorphisms(ia.algebra)
+
+
+@pytest.mark.parametrize("kind", ["rb", "auto", "derivation"])
+def test_rejected_leaf_exits_2(monkeypatch, kind):
+    corrupt_search(monkeypatch, BAD)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(
+            ["enumerate", "--algebra", str(FIXTURES / "k3_f3.alg"), "--kind", kind, "--weight", "1"]
+        )
+    assert code == 2
+    assert out.getvalue() == ""
+    assert "error: search leaf" in err.getvalue()
+
+
+# --- one integer check per leaf, no FieldElement checker ---------------------
+
+
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Count calls to owner.name under every rbx module name bound to it."""
+    original = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "rbx" or mod_name.startswith("rbx."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_enumerate_rb_tp4_f2_skips_field_checker(monkeypatch):
+    checks = count_calls(monkeypatch, rb, "check_rb")
+    leaf = count_calls(monkeypatch, search, "_leaf_ok")
+    ops = enumerate_rb(termwise_power(PrimeField(2, allow_char2=True), 4), 1)
+    assert len(ops) == 2000
+    assert checks == []
+    assert len(leaf) == len(ops)
+
+
+@pytest.mark.parametrize("kind", ["derivation", "auto"])
+def test_one_integer_check_per_leaf(monkeypatch, kind):
+    oracles = [
+        count_calls(monkeypatch, rb, "check_rb"),
+        count_calls(monkeypatch, rb, "check_derivation_weight"),
+        count_calls(monkeypatch, algebras, "check_automorphism"),
+    ]
+    leaf = count_calls(monkeypatch, search, "_leaf_ok")
+    leaves = []
+    real_search = search._search
+
+    def recording_search(*args):
+        found = real_search(*args)
+        leaves.extend(found)
+        return list(found)
+
+    monkeypatch.setattr(search, "_search", recording_search)
+    a = load("gr2_f3").algebra
+    found = enumerate_derivations(a, 1) if kind == "derivation" else enumerate_automorphisms(a)
+    assert len(found) == (730 if kind == "derivation" else 432)
+    assert all(calls == [] for calls in oracles)
+    assert [args[2] for args in leaf] == sorted(leaves, key=lambda c: search.pack_columns(c, 4))
+
+
+# --- one check per user-supplied operator ------------------------------------
+
+
+def test_diagnostics_checks_once(monkeypatch):
+    checks = count_calls(monkeypatch, rb, "check_rb")
+    op, w = operator_from_text((FIXTURES / "ex11.op").read_text(), load("j4_f5").algebra)
+    rb.diagnostics(op, w)
+    assert len(checks) == 1
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        # the input once; a construction checks its result once more
+        (["check", "--algebra", "j4_f5.alg", "--op", "ex11.op"], 1),
+        (["construct", "phi", "--algebra", "j4_f5.alg", "--op", "ex11.op"], 2),
+        (["construct", "triple-to-rb", "--algebra", "m2_q.alg", "--op", "m2_q.op"], 2),
+        (
+            ["construct", "conjugate", "--algebra", "m2_q.alg", "--op", "m2_q.op",
+             "--auto", "swap_auto_m2q.op"],
+            2,
+        ),
+    ],
+)
+def test_cli_checks_input_once(monkeypatch, argv, expected):
+    checks = count_calls(monkeypatch, rb, "check_rb")
+    argv = [str(FIXTURES / a) if a.endswith((".alg", ".op")) else a for a in argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+    assert len(checks) == expected
