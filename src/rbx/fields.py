@@ -101,6 +101,9 @@ class Field:
     def _inv(self, a):
         raise NotImplementedError
 
+    def _is_zero(self, a) -> bool:
+        return a == self._coerce(0)
+
     def _sqrt(self, a):
         raise NotImplementedError
 
@@ -171,6 +174,9 @@ class Rationals(Field):
             raise NotInvertibleError("inverse of zero")
         return 1 / a
 
+    def _is_zero(self, a):
+        return not a
+
     def _sqrt(self, a):
         raise UnsupportedFieldError("square roots over Q are out of scope")
 
@@ -237,6 +243,9 @@ class PrimeField(Field):
         if a == 0:
             raise NotInvertibleError("inverse of zero")
         return pow(a, self.p - 2, self.p)
+
+    def _is_zero(self, a):
+        return not a
 
     def _sqrt(self, a):
         if self.p == 2:
@@ -322,6 +331,9 @@ class QuadraticExtension(PrimeField):
         norm = (u * u - a * v * v) % p  # nonzero: a is a non-residue
         ninv = pow(norm, p - 2, p)
         return (u * ninv % p, -v * ninv % p)
+
+    def _is_zero(self, x):
+        return x == (0, 0)
 
     def _sqrt(self, x):
         p, a = self.p, self.a
@@ -443,7 +455,7 @@ class FieldElement:
         return self.field.sqrt(self)
 
     def is_zero(self) -> bool:
-        return self.value == self.field._coerce(0)
+        return self.field._is_zero(self.value)
 
     def encoding(self) -> int:
         return self.field._encoding(self.value)
