@@ -38,10 +38,10 @@ from .orbits import CLAIMS, orbit_classify, verify_claim
 from .rb import (
     Decomposition,
     RBOperator,
+    _diagnostics,
     apply_phi,
     check_rb,
     conjugate,
-    diagnostics,
     is_splitting,
     left_mult_op,
     nonsplit_weight1_op,
@@ -102,7 +102,7 @@ def _case_tag(r: RBOperator) -> str:
     case = classify_case(r)
     if case is not None:
         return case
-    rep = diagnostics(r.operator, r.weight)
+    rep = _diagnostics(r)
     return rep.unit_case if rep.unit_case != "not-applicable" else "none"
 
 
@@ -431,7 +431,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("verify", help="run one of the fixed verification claims")
+    p = sub.add_parser(
+        "verify",
+        help="run one of the fixed verification claims",
+        description="Run one of the fixed verification claims. --p, if given, must be "
+        "one of the claim's pinned primes, and --weight its pinned weight; the "
+        "claim always runs over all of its pinned primes, whatever --p says.",
+    )
     _add_common(p)
     p.add_argument("--claim", help="claim identifier")
     p.set_defaults(func=_cmd_verify)

@@ -103,6 +103,15 @@ class LeafRejectedError(RbxError):
     """
 
 
+class OrbitEscapeError(RbxError):
+    """An operator's image under the orbit group is not among the operators.
+
+    The classified operators come from an exhaustive enumeration, which
+    the moves must map into itself, so this signals a fault in the moves
+    or in the enumeration, never a property of the input.
+    """
+
+
 class DegenerateFormError(RbxError):
     """The bilinear form is degenerate (or otherwise unusable)."""
 

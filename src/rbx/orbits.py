@@ -3,25 +3,27 @@
 Three moves preserve the Rota-Baxter property with my conventions:
 conjugation by any algebra automorphism, conjugation by a recorded
 antiautomorphism (transposition on matrix algebras), and, for weight zero
-only, rescaling the whole matrix.  Orbits are computed by closing each
-operator under the moves in plain integer arithmetic; the canonical
-representative is the row-major smallest member.
+only, rescaling the whole matrix.  The moves generate a finite group that
+is listed in full, so each orbit is the set of images of one operator
+under every group element, computed in plain integer arithmetic; the
+canonical representative is the row-major smallest member.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .algebras import Algebra, grassmann2, jordan_form, kaplansky3, matrix_algebra
-from .errors import UnsupportedFieldError
+from .errors import OrbitEscapeError, UnsupportedFieldError
 from .fields import PrimeField, QuadraticExtension
 from .linalg import Matrix, vec_is_zero
 from .rb import (
     LinearOperator,
     RBOperator,
+    _diagnostics,
     apply_phi,
     coerce_weight,
-    diagnostics,
     is_splitting,
     weight0_matrix_ops,
 )
@@ -38,6 +40,33 @@ def _matmul(p: int, a: tuple, b: tuple) -> tuple:
         tuple(sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n))
         for i in range(n)
     )
+
+
+def _moves(p: int, autos: list, antiauto=None, scalars=(1,)) -> list:
+    """The group generated by the moves, as (left, right^T) residue pairs.
+
+    A move sends R to left * R * right.  autos must be the whole
+    automorphism group.  An antiautomorphism t normalises it and t*t is an
+    automorphism, so Aut and t*Aut together are closed under composition;
+    scalars commute with conjugation.  The returned moves are therefore
+    the whole group, and one operator's images under them are its orbit.
+    """
+    pairs = [(_to_int_rows(h.inverse()), _to_int_rows(h)) for h in autos]
+    if antiauto is not None:
+        t, tinv = _to_int_rows(antiauto), _to_int_rows(antiauto.inverse())
+        pairs += [(_matmul(p, t, inv), _matmul(p, h, tinv)) for inv, h in pairs]
+    return [
+        (tuple(tuple(s * x % p for x in row) for row in left), tuple(zip(*right)))
+        for left, right in pairs
+        for s in scalars
+    ]
+
+
+def _conjugate(p: int, move: tuple, cols: tuple) -> tuple:
+    """The packed rows of left * R * right, for R given by its columns."""
+    left, right_t = move
+    lr = [[sum(map(mul, row, col)) for col in cols] for row in left]
+    return tuple(sum(map(mul, row, col)) % p for row in lr for col in right_t)
 
 
 def _pack_rows(rows: tuple) -> tuple:
@@ -88,7 +117,7 @@ class OrbitReport:
 
 
 def _op_tags(r: RBOperator) -> tuple:
-    rep = diagnostics(r.operator, r.weight)
+    rep = _diagnostics(r)
     tags = []
     if rep.splitting:
         tags.append("splitting")
@@ -111,46 +140,33 @@ def pack_operator(r: RBOperator) -> tuple:
 
 
 def orbit_classify(a: Algebra, ops: list[RBOperator], weight, jobs: int = 1) -> OrbitReport:
-    """Partition the operators into orbits under the three moves."""
+    """Partition the operators into orbits under the three moves.
+
+    ops must be closed under the moves; an image outside it raises
+    OrbitEscapeError.
+    """
     field = a.field
     if isinstance(field, QuadraticExtension) or not isinstance(field, PrimeField):
         raise UnsupportedFieldError("orbit classification runs over prime fields")
     p = field.p
     dim = a.dim
     w = coerce_weight(field, weight)
-    autos = enumerate_automorphisms(a, jobs=jobs)
-    conj_pairs = [
-        (_to_int_rows(psi.inverse()), _to_int_rows(psi)) for psi in autos
-    ]
-    trans_pair = None
-    if a.antiauto is not None:
-        trans_pair = (_to_int_rows(a.antiauto), _to_int_rows(a.antiauto.inverse()))
-    scalings = [s for s in range(2, p)] if w.is_zero() else []
-
-    def neighbors(rows):
-        for inv, psi in conj_pairs:
-            yield _matmul(p, _matmul(p, inv, rows), psi)
-        if trans_pair is not None:
-            t, tinv = trans_pair
-            yield _matmul(p, _matmul(p, t, rows), tinv)
-        for s in scalings:
-            yield tuple(tuple(s * x % p for x in row) for row in rows)
-
+    scalars = range(1, p) if w.is_zero() else (1,)
+    moves = _moves(p, enumerate_automorphisms(a, jobs=jobs), a.antiauto, scalars)
+    keys = {pack_operator(r) for r in ops}
     seen: set = set()
     orbits = []
     for r in ops:
         packed = pack_operator(r)
         if packed in seen:
             continue
-        frontier = [packed]
-        members = {packed}
-        while frontier:
-            cur = frontier.pop()
-            for nb in neighbors(_unpack_rows(cur, dim)):
-                key = _pack_rows(nb)
-                if key not in members:
-                    members.add(key)
-                    frontier.append(key)
+        cols = tuple(packed[j::dim] for j in range(dim))
+        members = frozenset(_conjugate(p, m, cols) for m in moves)
+        if not members <= keys:
+            raise OrbitEscapeError(
+                f"the orbit of operator {matrix_hex(packed, p)} leaves the "
+                f"{len(ops)} operators being classified"
+            )
         seen |= members
         rep = min(members)
         rep_op = RBOperator(
@@ -159,9 +175,7 @@ def orbit_classify(a: Algebra, ops: list[RBOperator], weight, jobs: int = 1) -> 
             ),
             w,
         )
-        orbits.append(
-            OrbitInfo(len(members), rep, matrix_hex(rep, p), _op_tags(rep_op), frozenset(members))
-        )
+        orbits.append(OrbitInfo(len(members), rep, matrix_hex(rep, p), _op_tags(rep_op), members))
     orbits.sort(key=lambda o: o.rep)
     return OrbitReport(a.name, str(w), tuple(orbits), len(ops))
 
@@ -288,15 +302,30 @@ def _claim_m2_weight0(jobs: int) -> tuple[bool, list[str]]:
 
 
 def _closure_of_patterns(a: Algebra, patterns, jobs: int) -> set:
-    field = a.field
-    p = field.p
-    autos = enumerate_automorphisms(a, jobs=jobs)
-    conj_pairs = [(_to_int_rows(psi.inverse()), _to_int_rows(psi)) for psi in autos]
-    closure = set()
+    p = a.field.p
+    moves = _moves(p, enumerate_automorphisms(a, jobs=jobs))
+    closure: set = set()
     for rows in patterns:
-        for inv, psi in conj_pairs:
-            closure.add(_pack_rows(_matmul(p, _matmul(p, inv, rows), psi)))
+        # Aut is a group: a pattern already reached brings nothing new
+        if _pack_rows(rows) not in closure:
+            cols = tuple(zip(*rows))
+            closure.update(_conjugate(p, m, cols) for m in moves)
     return closure
+
+
+def _closure_is_enumeration(label: str, a: Algebra, ops, patterns, jobs: int):
+    # the classification holds when the pattern conjugates are exactly the
+    # enumerated operators: every operator is reached, and nothing else is
+    closure = _closure_of_patterns(a, patterns, jobs)
+    keys = {pack_operator(r) for r in ops}
+    lines = [
+        f"{label}: {len(ops)} operators, "
+        f"{len(closure)} pattern conjugates, outside the closure: {len(keys - closure)}"
+    ]
+    extra = len(closure - keys)
+    if extra:
+        lines.append(f"FAIL: {extra} pattern conjugates are not operators")
+    return closure == keys, lines
 
 
 def _claim_gr2_weight0(jobs: int) -> tuple[bool, list[str]]:
@@ -317,14 +346,7 @@ def _claim_gr2_weight0(jobs: int) -> tuple[bool, list[str]]:
                         (c1, c3, 0, 0),
                     )
                     patterns.append(rows)
-    closure = _closure_of_patterns(a, patterns, jobs)
-    missing = [r for r in ops if pack_operator(r) not in closure]
-    ok = not missing
-    lines = [
-        f"Gr2 over F3 weight 0: {len(ops)} operators, "
-        f"{len(closure)} pattern conjugates, outside the closure: {len(missing)}"
-    ]
-    return ok, lines
+    return _closure_is_enumeration("Gr2 over F3 weight 0", a, ops, patterns, jobs)
 
 
 def _claim_k3_weight0(jobs: int) -> tuple[bool, list[str]]:
@@ -338,14 +360,7 @@ def _claim_k3_weight0(jobs: int) -> tuple[bool, list[str]]:
         for c1 in range(5):
             rows = ((0, 0, c0), (0, 0, c1), (0, 0, 0))
             patterns.append(rows)
-    closure = _closure_of_patterns(a, patterns, jobs)
-    missing = [r for r in ops if pack_operator(r) not in closure]
-    ok = not missing
-    lines = [
-        f"K3 over F5 weight 0: {len(ops)} operators, "
-        f"{len(closure)} pattern conjugates, outside the closure: {len(missing)}"
-    ]
-    return ok, lines
+    return _closure_is_enumeration("K3 over F5 weight 0", a, ops, patterns, jobs)
 
 
 def _claim_gr2_derivations(jobs: int) -> tuple[bool, list[str]]:

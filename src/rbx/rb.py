@@ -608,12 +608,18 @@ def _image_all_degenerate(a: Algebra, image: Subspace) -> bool | None:
 
 def diagnostics(op: LinearOperator, weight) -> OperatorReport:
     """Verify the operator and report its structural invariants."""
-    a = op.algebra
-    field = a.field
-    w = coerce_weight(field, weight)
+    w = coerce_weight(op.algebra.field, weight)
     if not check_rb(op, w):
         raise NotRBError("diagnostics requires a verified operator")
-    r = RBOperator._verified(op, w)
+    return _diagnostics(RBOperator._verified(op, w))
+
+
+def _diagnostics(r: RBOperator) -> OperatorReport:
+    """The report of diagnostics, for an operator that is already verified."""
+    op = r.operator
+    a = op.algebra
+    field = a.field
+    w = r.weight
     m = op.matrix
     kernel = op.kernel()
     image = op.image()

@@ -70,6 +70,21 @@ def test_verify_pin_mismatch():
     assert "pinned" in err
 
 
+def test_verify_p_runs_every_pinned_prime():
+    # --p is checked against the pins but selects nothing
+    code, out, _ = run("verify", "--claim", "T5-k3", "--p", "3", "--weight", "1")
+    assert code == 0
+    assert out == (
+        "K3 over F3 weight 1: 74 operators, splitting=all\n"
+        "K3 over F5 weight 1: 302 operators, splitting=all\n"
+        "pass: all splitting\n"
+    )
+    code, out, err = run("verify", "--claim", "T5-k3", "--p", "7")
+    assert code == 2
+    assert out == ""
+    assert "error: claim T5-k3 is pinned to p in [3, 5], got 7" in err
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as e:
         run("bogus-command")

@@ -333,6 +333,8 @@ def test_diagnostics_checks_once(monkeypatch):
              "--auto", "swap_auto_m2q.op"],
             2,
         ),
+        # classify_case cannot label this one, so the report gives the case
+        (["check", "--algebra", "m2_q.alg", "--op", "m1_q.op"], 1),
     ],
 )
 def test_cli_checks_input_once(monkeypatch, argv, expected):

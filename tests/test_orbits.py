@@ -1,7 +1,23 @@
+"""Orbit classification and the claim suite.
+
+orbit_classify takes each orbit as the images of one operator under the
+whole group of moves.  The tests compare it with a closure under the moves
+one at a time, check that the moves form a group, and count the T6 orbits
+by Burnside's lemma.
+"""
+
+import contextlib
+import io
+import pathlib
+
 import pytest
 
-from rbx.algebras import matrix_algebra
+from rbx import orbits, rb
+from rbx.algebras import kaplansky3, matrix_algebra
+from rbx.cli import main
+from rbx.errors import OrbitEscapeError
 from rbx.fields import PrimeField
+from rbx.linalg import Matrix
 from rbx.orbits import (
     CLAIMS,
     matrix_hex,
@@ -10,7 +26,9 @@ from rbx.orbits import (
     verify_claim,
 )
 from rbx.rb import weight0_matrix_ops
-from rbx.search import enumerate_rb
+from rbx.search import enumerate_automorphisms, enumerate_rb
+
+FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
 F3 = PrimeField(3)
 
@@ -106,3 +124,173 @@ def test_claim_report_format():
     rep = verify_claim("C5-no-invertible-derivations")
     text = rep.format()
     assert text.startswith("claim C5-no-invertible-derivations: PASS")
+
+
+def test_pattern_claims_need_equality(monkeypatch):
+    # a closure that reaches every operator but also a non-operator fails
+    real = orbits._closure_of_patterns
+
+    def too_big(a, patterns, jobs):
+        return real(a, patterns, jobs) | {(1,) * a.dim**2}
+
+    monkeypatch.setattr(orbits, "_closure_of_patterns", too_big)
+    rep = verify_claim("P2-k3-weight0")
+    assert not rep.ok
+    assert rep.lines == (
+        "K3 over F5 weight 0: 145 operators, 146 pattern conjugates, outside the closure: 0",
+        "FAIL: 1 pattern conjugates are not operators",
+    )
+
+
+# --- the group of moves --------------------------------------------------------
+
+
+def _int_rows(m: Matrix) -> tuple:
+    return tuple(tuple(e.value for e in row) for row in m.data)
+
+
+def _matmul(p, a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n))
+        for i in range(n)
+    )
+
+
+def _pack(rows):
+    return tuple(x for row in rows for x in row)
+
+
+def _unpack(packed, dim):
+    return tuple(packed[i * dim : (i + 1) * dim] for i in range(dim))
+
+
+def bfs_orbits(a, ops, weight):
+    """Orbits by closing each operator under one move at a time."""
+    p, dim = a.field.p, a.dim
+    conj = [(_int_rows(h.inverse()), _int_rows(h)) for h in enumerate_automorphisms(a)]
+    if a.antiauto is not None:
+        conj.append((_int_rows(a.antiauto), _int_rows(a.antiauto.inverse())))
+    scalings = range(2, p) if weight % p == 0 else ()
+
+    def neighbors(rows):
+        for left, right in conj:
+            yield _matmul(p, _matmul(p, left, rows), right)
+        for s in scalings:
+            yield tuple(tuple(s * x % p for x in row) for row in rows)
+
+    seen, found = set(), []
+    for r in ops:
+        packed = pack_operator(r)
+        if packed in seen:
+            continue
+        members, frontier = {packed}, [packed]
+        while frontier:
+            for nb in neighbors(_unpack(frontier.pop(), dim)):
+                key = _pack(nb)
+                if key not in members:
+                    members.add(key)
+                    frontier.append(key)
+        seen |= members
+        found.append((min(members), len(members), frozenset(members)))
+    return sorted(found)
+
+
+ORBIT_CASES = {
+    # (algebra, weight): number of orbits
+    ("m2_f3", 0): 5,
+    ("m2_f3", 1): 15,
+    ("k3_f3", 0): 4,
+    ("k3_f3", 1): 6,
+}
+
+
+@pytest.mark.parametrize("name,weight", sorted(ORBIT_CASES))
+def test_group_images_match_move_closure(name, weight):
+    # matrix_algebra records transposition as an antiautomorphism, K3 none
+    a = matrix_algebra(F3, 2) if name == "m2_f3" else kaplansky3(F3)
+    ops = enumerate_rb(a, weight)
+    report = orbit_classify(a, ops, weight)
+    got = [(o.rep, o.size, o.members) for o in report.orbits]
+    assert got == bfs_orbits(a, ops, weight)
+    assert len(got) == ORBIT_CASES[name, weight]
+
+
+def test_moves_closed_under_composition():
+    # the premise of orbit_classify: on M2/F3 at weight 0 the moves
+    # (automorphisms, transposition, scalars) are already the whole group
+    a = matrix_algebra(F3, 2)
+    moves = orbits._moves(3, enumerate_automorphisms(a), a.antiauto, (1, 2))
+    pairs = {(left, tuple(zip(*right_t))) for left, right_t in moves}
+    assert len(pairs) == len(moves) == 24 * 2 * 2
+    for l1, r1 in pairs:
+        for l2, r2 in pairs:
+            # first (l1, r1), then (l2, r2)
+            assert (_matmul(3, l2, l1), _matmul(3, r1, r2)) in pairs
+
+
+def test_t6_orbit_count_by_burnside():
+    a = matrix_algebra(F3, 2)
+    ops = {pack_operator(r) for r in enumerate_rb(a, 0)}
+    t = _int_rows(a.antiauto)
+    autos = [_int_rows(h) for h in enumerate_automorphisms(a)]
+    group = []
+    for g in autos + [_matmul(3, t, h) for h in autos]:
+        group.append((_int_rows(Matrix(a.field, [list(r) for r in g]).inverse()), g))
+    assert len({g for _, g in group}) == 48
+    fixed = 0
+    for ginv, g in group:
+        for s in (1, 2):
+            for r in ops:
+                image = _matmul(3, _matmul(3, ginv, _unpack(r, 4)), g)
+                fixed += _pack(tuple(tuple(s * x % 3 for x in row) for row in image)) == r
+    order = len(group) * 2
+    assert fixed % order == 0
+    assert fixed // order == 5
+    assert "total=89 orbits=5" in verify_claim("T6-soundness").lines
+
+
+def test_representatives_checked_once(monkeypatch):
+    calls = []
+    real = rb.check_rb
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(rb, "check_rb", counted)
+    a = matrix_algebra(F3, 2)
+    ops = enumerate_rb(a, 0)
+    report = orbit_classify(a, ops, 0)
+    assert len(calls) == len(report.orbits) == 5
+
+
+# --- an orbit outside the enumeration ----------------------------------------
+
+
+def _with_bad_automorphism(monkeypatch):
+    # scaling e12 alone is invertible but not multiplicative on M2
+    real = orbits.enumerate_automorphisms
+
+    def autos(a, jobs=1):
+        bad = Matrix(a.field, [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        return real(a, jobs=jobs) + [bad]
+
+    monkeypatch.setattr(orbits, "enumerate_automorphisms", autos)
+
+
+def test_orbit_escape_raises(monkeypatch):
+    _with_bad_automorphism(monkeypatch)
+    a = matrix_algebra(F3, 2)
+    with pytest.raises(OrbitEscapeError, match="leaves the 89 operators"):
+        orbit_classify(a, enumerate_rb(a, 0), 0)
+
+
+def test_orbit_escape_exits_2(monkeypatch):
+    _with_bad_automorphism(monkeypatch)
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["classify", "--algebra", str(FIXTURES / "m2_f3.alg"), "--weight", "0"]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: the orbit of operator ")
