@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run every registered exhaustive claim and print its report.
 
-Exit status is 0 when all claims hold, 1 otherwise.
+Takes no options.  Exit status is 0 when all claims hold, 1 otherwise.
 """
 
 import argparse
@@ -12,16 +12,12 @@ from rbx.orbits import CLAIMS, verify_claim
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--jobs", type=int, default=1, help="worker threads per claim"
-    )
-    args = parser.parse_args(argv)
+    argparse.ArgumentParser(description=__doc__).parse_args(argv)
 
     all_ok = True
     for claim in CLAIMS:
         start = time.monotonic()
-        report = verify_claim(claim, jobs=args.jobs)
+        report = verify_claim(claim)
         elapsed = time.monotonic() - start
         print(report.format(), end="")
         print(f"  [{elapsed:.2f}s]")

@@ -270,26 +270,20 @@ def _cmd_enumerate(args) -> int:
     kind = args.kind
     if kind == "rb":
         w = a.field.parse(args.weight) if args.weight is not None else a.field.zero
-        found = (
-            enumerate_rb_raw(a, w) if args.raw else enumerate_rb(a, w, jobs=args.jobs)
-        )
+        found = enumerate_rb_raw(a, w) if args.raw else enumerate_rb(a, w)
         print(f"enumerate algebra={a.name} weight={w} kind=rb count={len(found)}")
         for r in found:
             print(" ".join(str(c) for row in r.matrix.data for c in row))
         return 0
     if kind == "auto":
-        found = (
-            enumerate_automorphisms_raw(a)
-            if args.raw
-            else enumerate_automorphisms(a, jobs=args.jobs)
-        )
+        found = enumerate_automorphisms_raw(a) if args.raw else enumerate_automorphisms(a)
         print(f"enumerate algebra={a.name} kind=auto count={len(found)}")
         for m in found:
             print(" ".join(str(c) for row in m.data for c in row))
         return 0
     if kind == "derivation":
         w = a.field.parse(args.weight) if args.weight is not None else a.field.one
-        found = enumerate_derivations(a, w, jobs=args.jobs)
+        found = enumerate_derivations(a, w)
         print(f"enumerate algebra={a.name} weight={w} kind=derivation count={len(found)}")
         for d in found:
             print(" ".join(str(c) for row in d.matrix.data for c in row))
@@ -300,33 +294,12 @@ def _cmd_enumerate(args) -> int:
 def _cmd_classify(args) -> int:
     a = _load_algebra(args)
     w = a.field.parse(args.weight) if args.weight is not None else a.field.zero
-    ops = enumerate_rb(a, w, jobs=args.jobs)
-    report = orbit_classify(a, ops, w, jobs=args.jobs)
+    ops = enumerate_rb(a, w)
+    report = orbit_classify(a, ops, w)
     print(f"classify algebra={a.name} weight={w}")
     for line in report.lines():
         print(line)
     return 0
-
-
-_CLAIM_PHRASES = {
-    "T2-even-splitting": "all splitting",
-    "T4-gr2": "all splitting",
-    "T5-k3": "all splitting",
-    "T6-soundness": "soundness facts hold",
-    "P1-gr2-weight0": "classification covers all operators",
-    "P2-k3-weight0": "classification covers all operators",
-    "C5-no-invertible-derivations": "only minus identity is invertible",
-}
-
-_CLAIM_PINS = {
-    "T2-even-splitting": ({3, 5}, "1"),
-    "T4-gr2": ({3}, "1"),
-    "T5-k3": ({3, 5}, "1"),
-    "T6-soundness": ({3}, "0"),
-    "P1-gr2-weight0": ({3}, "0"),
-    "P2-k3-weight0": ({5}, "0"),
-    "C5-no-invertible-derivations": ({3}, "1"),
-}
 
 
 def _cmd_verify(args) -> int:
@@ -335,18 +308,17 @@ def _cmd_verify(args) -> int:
         raise RbxError("--claim ID is required; known: " + " ".join(sorted(CLAIMS)))
     if claim not in CLAIMS:
         raise RbxError(f"unknown claim {claim!r}; known: " + " ".join(sorted(CLAIMS)))
-    primes, weight = _CLAIM_PINS[claim]
-    if args.p is not None and args.p not in primes:
+    row = CLAIMS[claim]
+    if args.p is not None and args.p not in row.primes:
         raise RbxError(
-            f"claim {claim} is pinned to p in {sorted(primes)}, got {args.p}"
+            f"claim {claim} is pinned to p in {sorted(row.primes)}, got {args.p}"
         )
-    if args.weight is not None and args.weight != weight:
-        raise RbxError(f"claim {claim} is pinned to weight {weight}, got {args.weight}")
-    report = verify_claim(claim, jobs=args.jobs)
+    if args.weight is not None and args.weight != str(row.weight):
+        raise RbxError(f"claim {claim} is pinned to weight {row.weight}, got {args.weight}")
+    report = verify_claim(claim)
     for line in report.lines:
         print(line)
-    phrase = _CLAIM_PHRASES[claim]
-    print(("pass: " if report.ok else "fail: ") + phrase)
+    print(("pass: " if report.ok else "fail: ") + row.phrase)
     return 0 if report.ok else 1
 
 
@@ -376,7 +348,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--weight", help="weight element override")
     p.add_argument("--p", type=int, help="prime for field construction")
     p.add_argument("--allow-char2", action="store_true", help="permit characteristic 2")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads for searches")
     p.add_argument("--format", choices=("human", "machine"), default="human")
 
 

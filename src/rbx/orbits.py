@@ -7,11 +7,17 @@ only, rescaling the whole matrix.  The moves generate a finite group that
 is listed in full, so each orbit is the set of images of one operator
 under every group element, computed in plain integer arithmetic; the
 canonical representative is the row-major smallest member.
+
+The claims form one table, CLAIMS: each row names the primes and weight
+its claim runs over, and the phrase `rbx verify` prints when it holds.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from operator import mul
 
 from .algebras import Algebra, grassmann2, jordan_form, kaplansky3, matrix_algebra
@@ -27,7 +33,12 @@ from .rb import (
     is_splitting,
     weight0_matrix_ops,
 )
-from .search import enumerate_automorphisms, enumerate_derivations, enumerate_rb
+from .search import (
+    _inverse_mod_p,
+    enumerate_automorphisms,
+    enumerate_derivations,
+    enumerate_rb,
+)
 
 
 def _to_int_rows(m: Matrix) -> tuple:
@@ -51,9 +62,10 @@ def _moves(p: int, autos: list, antiauto=None, scalars=(1,)) -> list:
     scalars commute with conjugation.  The returned moves are therefore
     the whole group, and one operator's images under them are its orbit.
     """
-    pairs = [(_to_int_rows(h.inverse()), _to_int_rows(h)) for h in autos]
+    pairs = [(_inverse_mod_p(rows, p), rows) for rows in map(_to_int_rows, autos)]
     if antiauto is not None:
-        t, tinv = _to_int_rows(antiauto), _to_int_rows(antiauto.inverse())
+        t = _to_int_rows(antiauto)
+        tinv = _inverse_mod_p(t, p)
         pairs += [(_matmul(p, t, inv), _matmul(p, h, tinv)) for inv, h in pairs]
     return [
         (tuple(tuple(s * x % p for x in row) for row in left), tuple(zip(*right)))
@@ -139,7 +151,7 @@ def pack_operator(r: RBOperator) -> tuple:
     return _pack_rows(_to_int_rows(r.matrix))
 
 
-def orbit_classify(a: Algebra, ops: list[RBOperator], weight, jobs: int = 1) -> OrbitReport:
+def orbit_classify(a: Algebra, ops: list[RBOperator], weight) -> OrbitReport:
     """Partition the operators into orbits under the three moves.
 
     ops must be closed under the moves; an image outside it raises
@@ -152,7 +164,7 @@ def orbit_classify(a: Algebra, ops: list[RBOperator], weight, jobs: int = 1) -> 
     dim = a.dim
     w = coerce_weight(field, weight)
     scalars = range(1, p) if w.is_zero() else (1,)
-    moves = _moves(p, enumerate_automorphisms(a, jobs=jobs), a.antiauto, scalars)
+    moves = _moves(p, enumerate_automorphisms(a), a.antiauto, scalars)
     keys = {pack_operator(r) for r in ops}
     seen: set = set()
     orbits = []
@@ -198,15 +210,14 @@ class ClaimReport:
         return "\n".join(body)
 
 
-def _claim_even_splitting(jobs: int) -> tuple[bool, list[str]]:
+def _claim_even_splitting(claim: Claim) -> tuple[bool, list[str]]:
     # even form-space dimension forces splitting for nonzero weight, and the
     # unit is killed by the operator or by its phi image
     ok = True
     lines = []
-    for p in (3, 5):
-        field = PrimeField(p)
-        a = jordan_form(field, [1, 1])
-        ops = enumerate_rb(a, 1, jobs=jobs)
+    for p in claim.primes:
+        a = jordan_form(PrimeField(p), [1, 1])
+        ops = enumerate_rb(a, claim.weight)
         split = all(is_splitting(r) for r in ops)
         unit_killed = all(
             vec_is_zero(r.matrix.apply(a.unit))
@@ -215,33 +226,22 @@ def _claim_even_splitting(jobs: int) -> tuple[bool, list[str]]:
         )
         ok = ok and split and unit_killed
         lines.append(
-            f"J(1,1) over F{p} weight 1: {len(ops)} operators, "
+            f"J(1,1) over F{p} weight {claim.weight}: {len(ops)} operators, "
             f"splitting={'all' if split else 'NOT all'}, "
             f"unit killed up to phi={'all' if unit_killed else 'NOT all'}"
         )
     return ok, lines
 
 
-def _claim_gr2_splitting(jobs: int) -> tuple[bool, list[str]]:
-    field = PrimeField(3)
-    ops = enumerate_rb(grassmann2(field), 1, jobs=jobs)
-    split = all(is_splitting(r) for r in ops)
-    return split, [
-        f"Gr2 over F3 weight 1: {len(ops)} operators, "
-        f"splitting={'all' if split else 'NOT all'}"
-    ]
-
-
-def _claim_k3_splitting(jobs: int) -> tuple[bool, list[str]]:
+def _claim_all_splitting(label: str, build, claim: Claim) -> tuple[bool, list[str]]:
     ok = True
     lines = []
-    for p in (3, 5):
-        field = PrimeField(p)
-        ops = enumerate_rb(kaplansky3(field), 1, jobs=jobs)
+    for p in claim.primes:
+        ops = enumerate_rb(build(PrimeField(p)), claim.weight)
         split = all(is_splitting(r) for r in ops)
         ok = ok and split
         lines.append(
-            f"K3 over F{p} weight 1: {len(ops)} operators, "
+            f"{label} over F{p} weight {claim.weight}: {len(ops)} operators, "
             f"splitting={'all' if split else 'NOT all'}"
         )
     return ok, lines
@@ -258,52 +258,52 @@ def _image_elements(field, basis, dim):
     return span
 
 
-def _claim_m2_weight0(jobs: int) -> tuple[bool, list[str]]:
-    field = PrimeField(3)
-    a = matrix_algebra(field, 2)
-    ops = enumerate_rb(a, 0, jobs=jobs)
-    ok = True
-    lines = [f"M2 over F3 weight 0: {len(ops)} operators"]
+def _soundness_fault(a: Algebra, ops) -> str | None:
+    """The FAIL line of the first soundness fact an operator breaks."""
     for r in ops:
         image = r.image()
         if image.contains_vector(a.unit):
-            ok = False
-            lines.append("FAIL: unit found inside an image")
-            break
+            return "FAIL: unit found inside an image"
         if r.kernel().dim < 2:
-            ok = False
-            lines.append("FAIL: kernel dimension below 2")
-            break
-        for v in _image_elements(field, list(image.basis), a.dim):
+            return "FAIL: kernel dimension below 2"
+        for v in _image_elements(a.field, list(image.basis), a.dim):
             if not (v[0] * v[3] - v[1] * v[2]).is_zero():
-                ok = False
-                lines.append("FAIL: invertible matrix inside an image")
-                break
-        if not ok:
-            break
-    if ok:
-        lines.append("every image is unit-free and singular, kernels have dim >= 2")
-    report = orbit_classify(a, ops, 0, jobs=jobs)
-    lines.extend(report.lines())
-    refs = weight0_matrix_ops(field)
-    placements = {}
-    for name, op in sorted(refs.items()):
-        placements[name] = report.orbit_of(pack_operator(op))
-    if None in placements.values():
-        ok = False
-        lines.append("FAIL: a reference operator is missing from the enumeration")
-    elif len(set(placements.values())) != len(placements):
-        ok = False
-        lines.append("FAIL: reference operators share an orbit")
-    else:
-        placed = " ".join(f"{k}->orbit {v}" for k, v in sorted(placements.items()))
-        lines.append(f"reference operators sit in distinct orbits: {placed}")
+                return "FAIL: invertible matrix inside an image"
+    return None
+
+
+def _claim_m2_weight0(claim: Claim) -> tuple[bool, list[str]]:
+    ok = True
+    lines = []
+    for p in claim.primes:
+        field = PrimeField(p)
+        a = matrix_algebra(field, 2)
+        ops = enumerate_rb(a, claim.weight)
+        lines.append(f"M2 over F{p} weight {claim.weight}: {len(ops)} operators")
+        fault = _soundness_fault(a, ops)
+        ok = ok and fault is None
+        lines.append(fault or "every image is unit-free and singular, kernels have dim >= 2")
+        report = orbit_classify(a, ops, claim.weight)
+        lines.extend(report.lines())
+        placements = {
+            name: report.orbit_of(pack_operator(op))
+            for name, op in sorted(weight0_matrix_ops(field).items())
+        }
+        if None in placements.values():
+            ok = False
+            lines.append("FAIL: a reference operator is missing from the enumeration")
+        elif len(set(placements.values())) != len(placements):
+            ok = False
+            lines.append("FAIL: reference operators share an orbit")
+        else:
+            placed = " ".join(f"{k}->orbit {v}" for k, v in sorted(placements.items()))
+            lines.append(f"reference operators sit in distinct orbits: {placed}")
     return ok, lines
 
 
-def _closure_of_patterns(a: Algebra, patterns, jobs: int) -> set:
+def _closure_of_patterns(a: Algebra, patterns) -> set:
     p = a.field.p
-    moves = _moves(p, enumerate_automorphisms(a, jobs=jobs))
+    moves = _moves(p, enumerate_automorphisms(a))
     closure: set = set()
     for rows in patterns:
         # Aut is a group: a pattern already reached brings nothing new
@@ -313,83 +313,98 @@ def _closure_of_patterns(a: Algebra, patterns, jobs: int) -> set:
     return closure
 
 
-def _closure_is_enumeration(label: str, a: Algebra, ops, patterns, jobs: int):
-    # the classification holds when the pattern conjugates are exactly the
-    # enumerated operators: every operator is reached, and nothing else is
-    closure = _closure_of_patterns(a, patterns, jobs)
-    keys = {pack_operator(r) for r in ops}
-    lines = [
-        f"{label}: {len(ops)} operators, "
-        f"{len(closure)} pattern conjugates, outside the closure: {len(keys - closure)}"
+def _gr2_tail_patterns(p: int) -> list:
+    # the radical tail: columns of 1 and e1 inside span{e2, e1e2}, rest zero
+    return [
+        ((0, 0, 0, 0), (0, 0, 0, 0), (c0, c2, 0, 0), (c1, c3, 0, 0))
+        for c0, c1, c2, c3 in itertools.product(range(p), repeat=4)
     ]
-    extra = len(closure - keys)
-    if extra:
-        lines.append(f"FAIL: {extra} pattern conjugates are not operators")
-    return closure == keys, lines
 
 
-def _claim_gr2_weight0(jobs: int) -> tuple[bool, list[str]]:
-    # every weight-zero operator is conjugate to one supported on the
-    # radical tail: columns of 1 and e1 inside span{e2, e1e2}, rest zero
-    field = PrimeField(3)
-    a = grassmann2(field)
-    ops = enumerate_rb(a, 0, jobs=jobs)
-    patterns = []
-    for c0 in range(3):
-        for c1 in range(3):
-            for c2 in range(3):
-                for c3 in range(3):
-                    rows = (
-                        (0, 0, 0, 0),
-                        (0, 0, 0, 0),
-                        (c0, c2, 0, 0),
-                        (c1, c3, 0, 0),
-                    )
-                    patterns.append(rows)
-    return _closure_is_enumeration("Gr2 over F3 weight 0", a, ops, patterns, jobs)
+def _k3_tail_patterns(p: int) -> list:
+    # e, x killed, y into the span of e and x
+    return [((0, 0, c0), (0, 0, c1), (0, 0, 0)) for c0, c1 in itertools.product(range(p), repeat=2)]
 
 
-def _claim_k3_weight0(jobs: int) -> tuple[bool, list[str]]:
-    # every weight-zero operator is conjugate to: e, x killed, y into
-    # the span of e and x
-    field = PrimeField(5)
-    a = kaplansky3(field)
-    ops = enumerate_rb(a, 0, jobs=jobs)
-    patterns = []
-    for c0 in range(5):
-        for c1 in range(5):
-            rows = ((0, 0, c0), (0, 0, c1), (0, 0, 0))
-            patterns.append(rows)
-    return _closure_is_enumeration("K3 over F5 weight 0", a, ops, patterns, jobs)
-
-
-def _claim_gr2_derivations(jobs: int) -> tuple[bool, list[str]]:
-    field = PrimeField(3)
-    a = grassmann2(field)
-    ders = enumerate_derivations(a, 1, jobs=jobs)
-    invertible = [d for d in ders if d.matrix.rank() == a.dim]
-    neg_id = Matrix.identity(field, a.dim).scale(-1)
-    ok = len(invertible) == 1 and invertible[0].matrix == neg_id
-    lines = [
-        f"Gr2 over F3 weight 1: {len(ders)} derivations, "
-        f"{len(invertible)} invertible, minus-identity only: {ok}"
-    ]
+def _claim_pattern_closure(label: str, build, patterns, claim: Claim) -> tuple[bool, list[str]]:
+    # every operator of the weight is conjugate to a pattern: the claim holds
+    # when the pattern conjugates are exactly the enumerated operators, so
+    # every operator is reached, and nothing else is
+    ok = True
+    lines = []
+    for p in claim.primes:
+        a = build(PrimeField(p))
+        ops = enumerate_rb(a, claim.weight)
+        closure = _closure_of_patterns(a, patterns(p))
+        keys = {pack_operator(r) for r in ops}
+        lines.append(
+            f"{label} over F{p} weight {claim.weight}: {len(ops)} operators, "
+            f"{len(closure)} pattern conjugates, outside the closure: {len(keys - closure)}"
+        )
+        extra = len(closure - keys)
+        if extra:
+            lines.append(f"FAIL: {extra} pattern conjugates are not operators")
+        ok = ok and closure == keys
     return ok, lines
 
 
+def _claim_gr2_derivations(claim: Claim) -> tuple[bool, list[str]]:
+    ok = True
+    lines = []
+    for p in claim.primes:
+        field = PrimeField(p)
+        a = grassmann2(field)
+        ders = enumerate_derivations(a, claim.weight)
+        invertible = [d for d in ders if d.matrix.rank() == a.dim]
+        neg_id = Matrix.identity(field, a.dim).scale(-1)
+        only = len(invertible) == 1 and invertible[0].matrix == neg_id
+        ok = ok and only
+        lines.append(
+            f"Gr2 over F{p} weight {claim.weight}: {len(ders)} derivations, "
+            f"{len(invertible)} invertible, minus-identity only: {only}"
+        )
+    return ok, lines
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One claim of the paper: the primes and weight it quantifies over,
+    the phrase `rbx verify` prints when it holds, and run(claim), which
+    checks it over every prime at that weight."""
+
+    id: str
+    primes: tuple
+    weight: int
+    phrase: str
+    run: Callable[[Claim], tuple[bool, list[str]]]
+
+
 CLAIMS = {
-    "T2-even-splitting": _claim_even_splitting,
-    "T4-gr2": _claim_gr2_splitting,
-    "T5-k3": _claim_k3_splitting,
-    "T6-soundness": _claim_m2_weight0,
-    "P1-gr2-weight0": _claim_gr2_weight0,
-    "P2-k3-weight0": _claim_k3_weight0,
-    "C5-no-invertible-derivations": _claim_gr2_derivations,
+    c.id: c
+    for c in (
+        Claim("T2-even-splitting", (3, 5), 1, "all splitting", _claim_even_splitting),
+        Claim("T4-gr2", (3,), 1, "all splitting", partial(_claim_all_splitting, "Gr2", grassmann2)),
+        Claim("T5-k3", (3, 5), 1, "all splitting", partial(_claim_all_splitting, "K3", kaplansky3)),
+        Claim("T6-soundness", (3,), 0, "soundness facts hold", _claim_m2_weight0),
+        Claim(
+            "P1-gr2-weight0", (3,), 0, "classification covers all operators",
+            partial(_claim_pattern_closure, "Gr2", grassmann2, _gr2_tail_patterns),
+        ),
+        Claim(
+            "P2-k3-weight0", (5,), 0, "classification covers all operators",
+            partial(_claim_pattern_closure, "K3", kaplansky3, _k3_tail_patterns),
+        ),
+        Claim(
+            "C5-no-invertible-derivations", (3,), 1, "only minus identity is invertible",
+            _claim_gr2_derivations,
+        ),
+    )
 }
 
 
-def verify_claim(claim: str, jobs: int = 1) -> ClaimReport:
+def verify_claim(claim: str) -> ClaimReport:
     if claim not in CLAIMS:
         raise KeyError(f"unknown claim {claim!r}")
-    ok, lines = CLAIMS[claim](jobs)
+    row = CLAIMS[claim]
+    ok, lines = row.run(row)
     return ClaimReport(claim, ok, tuple(lines))

@@ -24,7 +24,6 @@ objects, through constructors that do not check them again.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 
 from .algebras import Algebra, check_automorphism
 from .errors import LeafRejectedError, SearchSpaceTooLargeError, UnsupportedFieldError
@@ -158,37 +157,10 @@ def _new_pairs(dim: int, commutative: bool):
     return out
 
 
-def _search(ia: IntAlgebra, emitter, pools, jobs: int = 1) -> list:
-    """All full column assignments surviving every pair equation.
-
-    With jobs > 1 the first-column candidates are dealt round-robin to
-    worker threads; the final sort makes the job count invisible in the
-    output.
-    """
+def _search(ia: IntAlgebra, emitter, pools) -> list:
+    """All full column assignments surviving every pair equation."""
     pair_plan = _new_pairs(ia.dim, ia.commutative)
     pool_sets = [frozenset(pool) for pool in pools]
-    first = pools[0]
-    if jobs <= 1 or len(first) <= 1:
-        return _search_chunk(ia, emitter, pools, pool_sets, pair_plan)
-    results = []
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [
-            pool.submit(
-                _search_chunk,
-                ia,
-                emitter,
-                [list(first[t::jobs])] + [list(q) for q in pools[1:]],
-                pool_sets,
-                pair_plan,
-            )
-            for t in range(jobs)
-        ]
-        for fut in futures:
-            results.extend(fut.result())
-    return results
-
-
-def _search_chunk(ia, emitter, pools, pool_sets, pair_plan):
     dim, p = ia.dim, ia.p
 
     def extend(c, cols, pending, results):
@@ -301,28 +273,32 @@ def _keeps_grading(ia: IntAlgebra, cols) -> bool:
     )
 
 
-def _rank_mod_p(cols, p: int) -> int:
-    """Rank over F_p of the square matrix with these residue columns."""
-    rows = [list(col) for col in cols]
+def _inverse_mod_p(rows, p: int):
+    """Inverse over F_p of a square residue matrix, or None when singular.
+
+    Gauss-Jordan on the given vectors as rows, returning the rows of the
+    inverse.  The inverse of the transpose is the transpose of the inverse,
+    so columns given in return the columns of the inverse.
+    """
     dim = len(rows)
-    rank = 0
+    aug = [list(row) + [int(r == k) for k in range(dim)] for r, row in enumerate(rows)]
     for c in range(dim):
-        pivot = next((r for r in range(rank, dim) if rows[r][c]), None)
+        pivot = next((r for r in range(c, dim) if aug[r][c]), None)
         if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][c], p - 2, p)
-        for r in range(rank + 1, dim):
-            f = rows[r][c] * inv % p
-            if f:
-                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+            return None
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        inv = pow(aug[c][c], p - 2, p)
+        aug[c] = [x * inv % p for x in aug[c]]
+        for r in range(dim):
+            f = aug[r][c]
+            if f and r != c:
+                aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[c])]
+    return tuple(tuple(row[dim:]) for row in aug)
 
 
-def _checked_leaves(ia: IntAlgebra, emitter, graded: bool, jobs: int) -> list:
+def _checked_leaves(ia: IntAlgebra, emitter, graded: bool) -> list:
     """Search, sort row-major, and check every leaf once on residues."""
-    found = _search(ia, emitter, _full_pools(ia, graded), jobs)
+    found = _search(ia, emitter, _full_pools(ia, graded))
     found.sort(key=lambda cols: pack_columns(cols, ia.dim))
     for cols in found:
         if not _leaf_ok(ia, emitter, cols) or (graded and not _keeps_grading(ia, cols)):
@@ -333,36 +309,36 @@ def _checked_leaves(ia: IntAlgebra, emitter, graded: bool, jobs: int) -> list:
     return found
 
 
-def enumerate_rb(a: Algebra, weight, jobs: int = 1) -> list[RBOperator]:
+def enumerate_rb(a: Algebra, weight) -> list[RBOperator]:
     """All Rota-Baxter operators of the given weight, sorted row-major."""
     ia = IntAlgebra(a)
     w = coerce_weight(a.field, weight)
-    found = _checked_leaves(ia, _RBEmitter(ia, w.value), graded=False, jobs=jobs)
+    found = _checked_leaves(ia, _RBEmitter(ia, w.value), graded=False)
     return [
         RBOperator._verified(LinearOperator(a, _columns_to_matrix(a.field, cols, ia.dim)), w)
         for cols in found
     ]
 
 
-def enumerate_automorphisms(a: Algebra, jobs: int = 1) -> list[Matrix]:
+def enumerate_automorphisms(a: Algebra) -> list[Matrix]:
     """All algebra automorphisms (grading-preserving when graded), sorted.
 
     The search encodes multiplicativity only; singular leaves are dropped.
     """
     ia = IntAlgebra(a)
-    found = _checked_leaves(ia, _AutoEmitter(ia), graded=True, jobs=jobs)
+    found = _checked_leaves(ia, _AutoEmitter(ia), graded=True)
     return [
         _columns_to_matrix(a.field, cols, ia.dim)
         for cols in found
-        if _rank_mod_p(cols, ia.p) == ia.dim
+        if _inverse_mod_p(cols, ia.p) is not None
     ]
 
 
-def enumerate_derivations(a: Algebra, weight, jobs: int = 1) -> list[LinearOperator]:
+def enumerate_derivations(a: Algebra, weight) -> list[LinearOperator]:
     """All maps obeying the weighted derivation identity, sorted row-major."""
     ia = IntAlgebra(a)
     w = coerce_weight(a.field, weight)
-    found = _checked_leaves(ia, _DerivationEmitter(ia, w.value), graded=False, jobs=jobs)
+    found = _checked_leaves(ia, _DerivationEmitter(ia, w.value), graded=False)
     return [LinearOperator(a, _columns_to_matrix(a.field, cols, ia.dim)) for cols in found]
 
 

@@ -7,8 +7,10 @@ by Burnside's lemma.
 """
 
 import contextlib
+import importlib.util
 import io
 import pathlib
+import re
 
 import pytest
 
@@ -29,6 +31,7 @@ from rbx.rb import weight0_matrix_ops
 from rbx.search import enumerate_automorphisms, enumerate_rb
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
+RUN_CLAIMS = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_claims.py"
 
 F3 = PrimeField(3)
 
@@ -130,8 +133,8 @@ def test_pattern_claims_need_equality(monkeypatch):
     # a closure that reaches every operator but also a non-operator fails
     real = orbits._closure_of_patterns
 
-    def too_big(a, patterns, jobs):
-        return real(a, patterns, jobs) | {(1,) * a.dim**2}
+    def too_big(a, patterns):
+        return real(a, patterns) | {(1,) * a.dim**2}
 
     monkeypatch.setattr(orbits, "_closure_of_patterns", too_big)
     rep = verify_claim("P2-k3-weight0")
@@ -140,6 +143,23 @@ def test_pattern_claims_need_equality(monkeypatch):
         "K3 over F5 weight 0: 145 operators, 146 pattern conjugates, outside the closure: 0",
         "FAIL: 1 pattern conjugates are not operators",
     )
+
+
+def test_run_claims_script_runs_each_claim_at_its_pins():
+    spec = importlib.util.spec_from_file_location("run_claims", RUN_CLAIMS)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert script.main([]) == 0
+    text = out.getvalue()
+    assert text.endswith("all claims hold\n")
+    _, *parts = re.split(r"^claim (\S+): PASS\n", text, flags=re.M)
+    bodies = dict(zip(parts[::2], parts[1::2]))
+    assert list(bodies) == list(CLAIMS)
+    for cid, claim in CLAIMS.items():
+        runs = {(int(p), int(w)) for p, w in re.findall(r"over F(\d+) weight (\d+)", bodies[cid])}
+        assert runs == {(p, claim.weight) for p in claim.primes}
 
 
 # --- the group of moves --------------------------------------------------------
@@ -272,9 +292,9 @@ def _with_bad_automorphism(monkeypatch):
     # scaling e12 alone is invertible but not multiplicative on M2
     real = orbits.enumerate_automorphisms
 
-    def autos(a, jobs=1):
+    def autos(a):
         bad = Matrix(a.field, [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-        return real(a, jobs=jobs) + [bad]
+        return real(a) + [bad]
 
     monkeypatch.setattr(orbits, "enumerate_automorphisms", autos)
 

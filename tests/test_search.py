@@ -144,13 +144,6 @@ def test_phi_closure_of_enumeration():
         assert key in found
 
 
-def test_jobs_determinism():
-    a = grassmann2(F3)
-    one = packed(enumerate_rb(a, 1, jobs=1))
-    three = packed(enumerate_rb(a, 1, jobs=3))
-    assert one == three
-
-
 def test_derivation_enumeration():
     ders = enumerate_derivations(grassmann2(F3), 1)
     assert len(ders) == 730
