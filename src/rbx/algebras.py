@@ -23,7 +23,7 @@ from .errors import (
     MissingStructureError,
 )
 from .fields import Field, FieldElement
-from .linalg import Matrix, Subspace, Vector, as_vector, vec_add, vec_scale, zero_vector
+from .linalg import Matrix, Subspace, Vector, as_vector, vec_add, vec_scale
 
 
 @dataclass(frozen=True)
@@ -133,9 +133,6 @@ class Algebra:
         coeffs = [self.field.zero] * self.dim
         coeffs[i] = self.field.one
         return Element(self, tuple(coeffs))
-
-    def zero_element(self) -> "Element":
-        return Element(self, zero_vector(self.field, self.dim))
 
     def unit_element(self) -> "Element":
         if self.unit is None:

@@ -6,7 +6,10 @@ antiautomorphism (transposition on matrix algebras), and, for weight zero
 only, rescaling the whole matrix.  The moves generate a finite group that
 is listed in full, so each orbit is the set of images of one operator
 under every group element, computed in plain integer arithmetic; the
-canonical representative is the row-major smallest member.
+canonical representative is the row-major smallest member.  The group
+itself (_moves) and the image of one operator under a move (_conjugate)
+live in search, which also uses them to search one orbit of R(1) at a
+time; this module imports them from there.
 
 The claims form one table, CLAIMS: each row names the primes and weight
 its claim runs over, and the phrase `rbx verify` prints when it holds.
@@ -18,7 +21,6 @@ import itertools
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
-from operator import mul
 
 from .algebras import Algebra, grassmann2, jordan_form, kaplansky3, matrix_algebra
 from .errors import OrbitEscapeError, UnsupportedFieldError
@@ -34,51 +36,13 @@ from .rb import (
     weight0_matrix_ops,
 )
 from .search import (
-    _inverse_mod_p,
+    _conjugate,
+    _moves,
+    _to_int_rows,
     enumerate_automorphisms,
     enumerate_derivations,
     enumerate_rb,
 )
-
-
-def _to_int_rows(m: Matrix) -> tuple:
-    return tuple(tuple(e.value for e in row) for row in m.data)
-
-
-def _matmul(p: int, a: tuple, b: tuple) -> tuple:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n))
-        for i in range(n)
-    )
-
-
-def _moves(p: int, autos: list, antiauto=None, scalars=(1,)) -> list:
-    """The group generated by the moves, as (left, right^T) residue pairs.
-
-    A move sends R to left * R * right.  autos must be the whole
-    automorphism group.  An antiautomorphism t normalises it and t*t is an
-    automorphism, so Aut and t*Aut together are closed under composition;
-    scalars commute with conjugation.  The returned moves are therefore
-    the whole group, and one operator's images under them are its orbit.
-    """
-    pairs = [(_inverse_mod_p(rows, p), rows) for rows in map(_to_int_rows, autos)]
-    if antiauto is not None:
-        t = _to_int_rows(antiauto)
-        tinv = _inverse_mod_p(t, p)
-        pairs += [(_matmul(p, t, inv), _matmul(p, h, tinv)) for inv, h in pairs]
-    return [
-        (tuple(tuple(s * x % p for x in row) for row in left), tuple(zip(*right)))
-        for left, right in pairs
-        for s in scalars
-    ]
-
-
-def _conjugate(p: int, move: tuple, cols: tuple) -> tuple:
-    """The packed rows of left * R * right, for R given by its columns."""
-    left, right_t = move
-    lr = [[sum(map(mul, row, col)) for col in cols] for row in left]
-    return tuple(sum(map(mul, row, col)) % p for row in lr for col in right_t)
 
 
 def _pack_rows(rows: tuple) -> tuple:

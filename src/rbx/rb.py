@@ -86,9 +86,6 @@ class LinearOperator:
     def from_columns(cls, algebra: Algebra, columns) -> "LinearOperator":
         return cls(algebra, Matrix.from_columns(algebra.field, columns))
 
-    def apply_vec(self, v) -> Vector:
-        return self.matrix.apply(v)
-
     def apply(self, x: Element) -> Element:
         if x.algebra != self.algebra:
             raise AlgebraMismatchError("element of a different algebra")
@@ -102,11 +99,6 @@ class LinearOperator:
 
     def image(self) -> Subspace:
         return Subspace(self.algebra.field, self.algebra.dim, self.matrix.columns())
-
-    def compose(self, other: "LinearOperator") -> "LinearOperator":
-        if other.algebra != self.algebra:
-            raise AlgebraMismatchError("operators on different algebras")
-        return LinearOperator(self.algebra, self.matrix * other.matrix)
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()

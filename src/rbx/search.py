@@ -14,16 +14,30 @@ in index order and candidate values are tried in lexicographic order, so
 the result list is deterministic; a raw enumerator with none of this
 machinery double-checks the pruned one on small spaces.
 
+Rota-Baxter operators are searched modulo a group when the unit is the
+first basis vector e_0.  The moves of orbits (conjugation by every
+automorphism, by the recorded antiautomorphism, and at weight 0 scaling by
+every nonzero scalar) map operators to operators and fix the unit, so a
+move (left, right) sends an operator with R(e_0) = v bijectively to one
+with R(e_0) = left * v.  Column 0 therefore runs over one value per orbit
+of v -> left * v, in one search; every operator with another value of
+R(e_0) is the image of a leaf under the first move that reaches that
+value (McKay, Isomorph-free exhaustive generation, J. Algorithms 26, 1998).
+Automorphisms, derivations and algebras without the unit at e_0 take the
+plain search.
+
 All arithmetic here runs on plain integer residues.  Each leaf the search
-reaches is checked once, on residues, against the pair equation of every
-ordered basis pair (_leaf_ok); a leaf that fails is an internal error and
-raises LeafRejectedError.  Only then do matrices become FieldElement
-objects, through constructors that do not check them again.
+reaches, and each image of one, is checked once, on residues, against the
+pair equation of every ordered basis pair (_leaf_ok); a leaf that fails is
+an internal error and raises LeafRejectedError.  Only then do matrices
+become FieldElement objects, through constructors that do not check them
+again.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import mul
 
 from .algebras import Algebra, check_automorphism
 from .errors import LeafRejectedError, SearchSpaceTooLargeError, UnsupportedFieldError
@@ -32,6 +46,9 @@ from .linalg import Matrix
 from .rb import LinearOperator, RBOperator, coerce_weight
 
 RAW_GUARD = 1 << 26
+# each raw automorphism candidate is checked through FieldElement arithmetic
+# (about 7000 matrices a second), so its space is held much smaller
+RAW_AUTO_GUARD = 1 << 16
 
 
 class IntAlgebra:
@@ -296,9 +313,83 @@ def _inverse_mod_p(rows, p: int):
     return tuple(tuple(row[dim:]) for row in aug)
 
 
-def _checked_leaves(ia: IntAlgebra, emitter, graded: bool) -> list:
-    """Search, sort row-major, and check every leaf once on residues."""
-    found = _search(ia, emitter, _full_pools(ia, graded))
+def _to_int_rows(m: Matrix) -> tuple:
+    return tuple(tuple(e.value for e in row) for row in m.data)
+
+
+def _matmul(p: int, a: tuple, b: tuple) -> tuple:
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n))
+        for i in range(n)
+    )
+
+
+def _moves(p: int, autos: list, antiauto=None, scalars=(1,)) -> list:
+    """The group generated by the moves, as (left, right^T) residue pairs.
+
+    A move sends R to left * R * right.  autos must be the whole
+    automorphism group.  An antiautomorphism t normalises it and t*t is an
+    automorphism, so Aut and t*Aut together are closed under composition;
+    scalars commute with conjugation.  The returned moves are therefore
+    the whole group, and one operator's images under them are its orbit.
+    """
+    pairs = [(_inverse_mod_p(rows, p), rows) for rows in map(_to_int_rows, autos)]
+    if antiauto is not None:
+        t = _to_int_rows(antiauto)
+        tinv = _inverse_mod_p(t, p)
+        pairs += [(_matmul(p, t, inv), _matmul(p, h, tinv)) for inv, h in pairs]
+    return [
+        (tuple(tuple(s * x % p for x in row) for row in left), tuple(zip(*right)))
+        for left, right in pairs
+        for s in scalars
+    ]
+
+
+def _conjugate(p: int, move: tuple, cols: tuple) -> tuple:
+    """The packed rows of left * R * right, for R given by its columns."""
+    left, right_t = move
+    lr = [[sum(map(mul, row, col)) for col in cols] for row in left]
+    return tuple(sum(map(mul, row, col)) % p for row in lr for col in right_t)
+
+
+def _cosets(p: int, pool: list, moves: list) -> dict:
+    """One representative per orbit of v -> left * v on pool, in pool order.
+
+    Each representative maps to the moves that first reach the other
+    members of its orbit, one move per member.
+    """
+    seen: set = set()
+    cosets = {}
+    for v in pool:
+        if v in seen:
+            continue
+        seen.add(v)
+        reach = cosets[v] = []
+        for move in moves:
+            u = tuple(sum(map(mul, row, v)) % p for row in move[0])
+            if u not in seen:
+                seen.add(u)
+                reach.append(move)
+    return cosets
+
+
+def _checked_leaves(ia: IntAlgebra, emitter, graded: bool, moves=()) -> list:
+    """Search, sort row-major, and check every leaf once on residues.
+
+    With moves that fix e_0, column 0 runs over one representative per
+    orbit only; each leaf found then brings its images under the moves onto
+    the other members of its orbit.
+    """
+    pools = _full_pools(ia, graded)
+    if moves:
+        cosets = _cosets(ia.p, pools[0], moves)
+        pools[0] = list(cosets)
+    found = _search(ia, emitter, pools)
+    if moves:
+        dim = ia.dim
+        images = [_conjugate(ia.p, m, cols) for cols in found for m in cosets.get(cols[0], ())]
+        found += [tuple(packed[j::dim] for j in range(dim)) for packed in images]
     found.sort(key=lambda cols: pack_columns(cols, ia.dim))
     for cols in found:
         if not _leaf_ok(ia, emitter, cols) or (graded and not _keeps_grading(ia, cols)):
@@ -310,10 +401,18 @@ def _checked_leaves(ia: IntAlgebra, emitter, graded: bool) -> list:
 
 
 def enumerate_rb(a: Algebra, weight) -> list[RBOperator]:
-    """All Rota-Baxter operators of the given weight, sorted row-major."""
+    """All Rota-Baxter operators of the given weight, sorted row-major.
+
+    When the unit is e_0, R(1) is searched one orbit of the moves at a
+    time, as the module docstring explains.
+    """
     ia = IntAlgebra(a)
     w = coerce_weight(a.field, weight)
-    found = _checked_leaves(ia, _RBEmitter(ia, w.value), graded=False)
+    moves = []
+    if a.unit is not None and tuple(x.value for x in a.unit) == _basis_int(ia.dim)[0]:
+        scalars = range(1, ia.p) if w.is_zero() else (1,)
+        moves = _moves(ia.p, enumerate_automorphisms(a), a.antiauto, scalars)
+    found = _checked_leaves(ia, _RBEmitter(ia, w.value), graded=False, moves=moves)
     return [
         RBOperator._verified(LinearOperator(a, _columns_to_matrix(a.field, cols, ia.dim)), w)
         for cols in found
@@ -347,8 +446,8 @@ def enumerate_derivations(a: Algebra, weight) -> list[LinearOperator]:
 # ---------------------------------------------------------------------------
 
 
-def _guard(p: int, dim: int):
-    if p ** (dim * dim) > RAW_GUARD:
+def _guard(p: int, dim: int, limit: int):
+    if p ** (dim * dim) > limit:
         raise SearchSpaceTooLargeError(
             f"{p}^{dim * dim} exceeds the raw enumeration guard"
         )
@@ -357,7 +456,7 @@ def _guard(p: int, dim: int):
 def enumerate_rb_raw(a: Algebra, weight) -> list[RBOperator]:
     """Plain full enumeration of operator matrices; small spaces only."""
     ia = IntAlgebra(a)
-    _guard(ia.p, ia.dim)
+    _guard(ia.p, ia.dim, RAW_GUARD)
     w = coerce_weight(a.field, weight)
     emitter = _RBEmitter(ia, w.value)
     pool = _column_pool(ia.p, ia.dim)
@@ -372,7 +471,7 @@ def enumerate_rb_raw(a: Algebra, weight) -> list[RBOperator]:
 def enumerate_automorphisms_raw(a: Algebra) -> list[Matrix]:
     """Filter every matrix through check_automorphism; small spaces only."""
     ia = IntAlgebra(a)
-    _guard(ia.p, ia.dim)
+    _guard(ia.p, ia.dim, RAW_AUTO_GUARD)
     pool = _column_pool(ia.p, ia.dim)
     out = []
     for cols in itertools.product(pool, repeat=ia.dim):

@@ -227,6 +227,14 @@ def test_enumerate_pruned_equals_raw_bytes():
     assert a[1].splitlines()[0] == "enumerate algebra=K3 weight=0 kind=rb count=33"
 
 
+def test_raw_automorphisms_guarded():
+    # 5^9 matrices through the FieldElement checker would take minutes
+    code, out, err = run("enumerate", "--algebra", fx("k3_f5.alg"), "--kind", "auto", "--raw")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[0] == "error: 5^9 exceeds the raw enumeration guard"
+
+
 def test_enumerate_derivations_cli():
     code, out, _ = run(
         "enumerate", "--algebra", fx("gr2_f3.alg"), "--kind", "derivation",

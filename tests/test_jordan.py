@@ -1,4 +1,7 @@
+import itertools
+import pathlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,6 +13,7 @@ from rbx.errors import (
     ZeroFirstRowError,
 )
 from rbx.fields import PrimeField, QuadraticExtension, Rationals
+from rbx.formats import algebra_from_text
 from rbx.jordan import (
     JordanSpec,
     Poly,
@@ -28,6 +32,9 @@ from rbx.jordan import (
 )
 from rbx.linalg import Matrix
 from rbx.rb import LinearOperator, RBOperator, check_rb, is_splitting
+from rbx.search import enumerate_rb
+
+FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
 Q = Rationals()
 F3 = PrimeField(3)
@@ -255,3 +262,23 @@ def test_extension_field_round_trip():
     assert check_rb(r.operator, spec.weight)
     wit2, case2 = rb_to_skew(r)
     assert case2 == "IIa" and wit2.matrix == witness.matrix
+
+
+def test_j4_f5_weight4_count_and_skew_cases():
+    # J(1,1,1) over F5 at weight 4: each of the cases I, IIa and IIb has one
+    # operator per skew witness, counted here straight from M^T = -M,
+    # M M = 4 E and a nonzero first row
+    a = algebra_from_text((FIXTURES / "j4_f5.alg").read_text())
+    ops = enumerate_rb(a, 4)
+    assert len(ops) == 2582
+    cases = Counter(classify_case(r) for r in ops)
+    assert cases == {"I": 60, "IIa": 60, "IIb": 60, None: 2402}
+    upper = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    skew = 0
+    for vals in itertools.product(range(5), repeat=len(upper)):
+        m = [[0] * 4 for _ in range(4)]
+        for (i, j), v in zip(upper, vals):
+            m[i][j], m[j][i] = v, -v % 5
+        square = [[sum(m[i][k] * m[k][j] for k in range(4)) % 5 for j in range(4)] for i in range(4)]
+        skew += any(m[0]) and square == [[4 * (i == j) for j in range(4)] for i in range(4)]
+    assert skew == 60

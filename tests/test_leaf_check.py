@@ -267,6 +267,18 @@ def test_rejected_auto_leaf_raises(monkeypatch):
         enumerate_automorphisms(ia.algebra)
 
 
+def test_bad_move_rejects_its_images(monkeypatch):
+    # swapping e2 and e1e2 is invertible but no automorphism of Gr2/F3;
+    # listed first, it is the move onto some values of R(1) at weight 0
+    a = load("gr2_f3").algebra
+    bad = _columns_to_matrix(a.field, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)), 4)
+    assert not check_automorphism(a, bad)
+    real = search.enumerate_automorphisms
+    monkeypatch.setattr(search, "enumerate_automorphisms", lambda alg: [bad] + real(alg))
+    with pytest.raises(LeafRejectedError):
+        enumerate_rb(a, 0)
+
+
 @pytest.mark.parametrize("kind", ["rb", "auto", "derivation"])
 def test_rejected_leaf_exits_2(monkeypatch, kind):
     corrupt_search(monkeypatch, BAD)
@@ -307,6 +319,22 @@ def test_enumerate_rb_tp4_f2_skips_field_checker(monkeypatch):
     assert len(ops) == 2000
     assert checks == []
     assert len(leaf) == len(ops)
+
+
+@pytest.mark.parametrize("weight,count", [(0, 315), (1, 148)])
+def test_one_integer_check_per_operator_and_image(monkeypatch, weight, count):
+    # Gr2 has unit e_0: at weight 0 most operators are images of a searched
+    # leaf, and each of them is checked once all the same
+    checks = count_calls(monkeypatch, rb, "check_rb")
+    leaf = count_calls(monkeypatch, search, "_leaf_ok")
+    a = load("gr2_f3").algebra
+    ops = enumerate_rb(a, weight)
+    assert len(ops) == count
+    assert checks == []
+    rb_leaves = [args[2] for args in leaf if isinstance(args[1], _RBEmitter)]
+    assert [search.pack_columns(cols, 4) for cols in rb_leaves] == [
+        tuple(x.value for row in r.matrix.data for x in row) for r in ops
+    ]
 
 
 @pytest.mark.parametrize("kind", ["derivation", "auto"])

@@ -1,6 +1,10 @@
+import pathlib
+
 import pytest
 
+from rbx import search
 from rbx.algebras import (
+    cayley_dickson,
     grassmann2,
     jordan_form,
     kaplansky3,
@@ -9,6 +13,7 @@ from rbx.algebras import (
 )
 from rbx.errors import SearchSpaceTooLargeError, UnsupportedFieldError
 from rbx.fields import PrimeField, QuadraticExtension, Rationals
+from rbx.formats import algebra_from_text
 from rbx.linalg import Matrix
 from rbx.rb import apply_phi, check_rb, is_splitting, trivial_rb_ops
 from rbx.search import (
@@ -19,6 +24,8 @@ from rbx.search import (
     enumerate_rb_raw,
     pack_columns,
 )
+
+FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
 F2 = PrimeField(2, allow_char2=True)
 F3 = PrimeField(3)
@@ -162,3 +169,86 @@ def test_unsupported_fields_rejected():
 def test_pack_columns_row_major():
     cols = [(1, 2), (3, 4)]
     assert pack_columns(cols, 2) == (1, 3, 2, 4)
+
+
+# --- one orbit of R(1) at a time -----------------------------------------------
+
+
+def _fixture(name):
+    return algebra_from_text((FIXTURES / f"{name}.alg").read_text())
+
+
+def _plain(a, weight):
+    ia = search.IntAlgebra(a)
+    found = search._search(ia, search._RBEmitter(ia, weight % ia.p), search._full_pools(ia, False))
+    return sorted(pack_columns(cols, ia.dim) for cols in found)
+
+
+def _record_rb_searches(monkeypatch):
+    calls = []
+    real = search._search
+
+    def recording(ia, emitter, pools):
+        if isinstance(emitter, search._RBEmitter):
+            calls.append(pools)
+        return real(ia, emitter, pools)
+
+    monkeypatch.setattr(search, "_search", recording)
+    return calls
+
+
+# algebras whose unit is e_0
+UNIT_AT_E0 = {
+    "gr2_f3": lambda: grassmann2(F3),
+    "j11_f3": lambda: jordan_form(F3, [1, 1]),
+    "j11_f5": lambda: jordan_form(F5, [1, 1]),
+    "j3_f5": lambda: _fixture("j3_f5"),
+    "tp1_f3": lambda: termwise_power(F3, 1),
+    "cd11_f3": lambda: cayley_dickson(F3, [F3.one, F3.one]),
+}
+
+
+@pytest.mark.parametrize(
+    "name,weight",
+    [
+        ("gr2_f3", 0), ("gr2_f3", 1), ("j11_f3", 1), ("j11_f5", 0), ("j11_f5", 1),
+        ("j3_f5", 0), ("j3_f5", 1), ("tp1_f3", 0), ("tp1_f3", 1), ("cd11_f3", 0), ("cd11_f3", 1),
+    ],
+)
+def test_orbit_split_equals_plain_search(name, weight):
+    # column 0 is searched one orbit at a time, the rest are images; on Gr2
+    # at weight 0 and on CD(1,1) some operators have R(1) outside the span
+    # of 1, so they come out as images
+    a = UNIT_AT_E0[name]()
+    assert tuple(x.value for x in a.unit) == (1,) + (0,) * (a.dim - 1)
+    assert packed(enumerate_rb(a, weight)) == _plain(a, weight)
+
+
+@pytest.mark.parametrize("weight,orbits", [(0, 6), (1, 9)])
+def test_orbit_split_searches_one_value_per_orbit(monkeypatch, weight, orbits):
+    # Aut(Gr2/F3) has 432 elements; at weight 0 the scalars join in
+    calls = _record_rb_searches(monkeypatch)
+    ops = enumerate_rb(grassmann2(F3), weight)
+    assert len(ops) == (315 if weight == 0 else 148)
+    assert len(calls) == 1
+    assert len(calls[0][0]) == orbits
+    assert calls[0][1:] == search._full_pools(search.IntAlgebra(grassmann2(F3)), False)[1:]
+
+
+# M2 and TP4 have a unit that is not e_0, K3 has none
+NO_UNIT_AT_E0 = {
+    "m2_f3": lambda: matrix_algebra(F3, 2),
+    "tp4_f2": lambda: termwise_power(F2, 4),
+    "k3_f3": lambda: kaplansky3(F3),
+}
+
+
+@pytest.mark.parametrize("name,weight,count", [("m2_f3", 0, 89), ("tp4_f2", 1, 2000), ("k3_f3", 1, 74)])
+def test_plain_search_without_unit_at_e0(monkeypatch, name, weight, count):
+    a = NO_UNIT_AT_E0[name]()
+    calls = _record_rb_searches(monkeypatch)
+    autos = []
+    monkeypatch.setattr(search, "enumerate_automorphisms", lambda a: autos.append(a))
+    assert len(enumerate_rb(a, weight)) == count
+    assert calls == [search._full_pools(search.IntAlgebra(a), False)]
+    assert autos == []
