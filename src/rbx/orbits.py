@@ -7,9 +7,10 @@ only, rescaling the whole matrix.  The moves generate a finite group that
 is listed in full, so each orbit is the set of images of one operator
 under every group element, computed in plain integer arithmetic; the
 canonical representative is the row-major smallest member.  The group
-itself (_moves) and the image of one operator under a move (_conjugate)
-live in search, which also uses them to search one orbit of R(1) at a
-time; this module imports them from there.
+itself (_moves, and _rb_moves for the moves of a weight) and the image of
+one operator under a move (_conjugate) live in search, which also uses
+them to search one orbit of R(1) at a time; this module imports them from
+there.
 
 The claims form one table, CLAIMS: each row names the primes and weight
 its claim runs over, and the phrase `rbx verify` prints when it holds.
@@ -38,6 +39,7 @@ from .rb import (
 from .search import (
     _conjugate,
     _moves,
+    _rb_moves,
     _to_int_rows,
     enumerate_automorphisms,
     enumerate_derivations,
@@ -127,8 +129,7 @@ def orbit_classify(a: Algebra, ops: list[RBOperator], weight) -> OrbitReport:
     p = field.p
     dim = a.dim
     w = coerce_weight(field, weight)
-    scalars = range(1, p) if w.is_zero() else (1,)
-    moves = _moves(p, enumerate_automorphisms(a), a.antiauto, scalars)
+    moves = _rb_moves(a, w, enumerate_automorphisms(a))
     keys = {pack_operator(r) for r in ops}
     seen: set = set()
     orbits = []

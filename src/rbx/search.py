@@ -14,24 +14,27 @@ in index order and candidate values are tried in lexicographic order, so
 the result list is deterministic; a raw enumerator with none of this
 machinery double-checks the pruned one on small spaces.
 
-Rota-Baxter operators are searched modulo a group when the unit is the
-first basis vector e_0.  The moves of orbits (conjugation by every
-automorphism, by the recorded antiautomorphism, and at weight 0 scaling by
-every nonzero scalar) map operators to operators and fix the unit, so a
+Rota-Baxter operators are searched modulo a group when the first basis
+vector e_0 is the unit: declared as the unit and checked against the
+structure constants, since a unit= line read from a file is not.  The
+moves (conjugation by every automorphism, by the recorded
+antiautomorphism, and at weight 0 scaling by every nonzero scalar; the
+group orbits also uses) map operators to operators and fix the unit, so a
 move (left, right) sends an operator with R(e_0) = v bijectively to one
 with R(e_0) = left * v.  Column 0 therefore runs over one value per orbit
-of v -> left * v, in one search; every operator with another value of
-R(e_0) is the image of a leaf under the first move that reaches that
-value (McKay, Isomorph-free exhaustive generation, J. Algorithms 26, 1998).
+of v -> left * v, in one search; every operator with another value u of
+R(e_0) is the image of a leaf under the first move that reaches u (McKay,
+Isomorph-free exhaustive generation, J. Algorithms 26, 1998).
 Automorphisms, derivations and algebras without the unit at e_0 take the
 plain search.
 
 All arithmetic here runs on plain integer residues.  Each leaf the search
 reaches, and each image of one, is checked once, on residues, against the
-pair equation of every ordered basis pair (_leaf_ok); a leaf that fails is
-an internal error and raises LeafRejectedError.  Only then do matrices
-become FieldElement objects, through constructors that do not check them
-again.
+pair equation of every ordered basis pair (_leaf_ok); a leaf that fails,
+an image whose R(e_0) is not the value its move was chosen for, or a
+result found twice is an internal error and raises LeafRejectedError.
+Only then do matrices become FieldElement objects, through constructors
+that do not check them again.
 """
 
 from __future__ import annotations
@@ -346,6 +349,28 @@ def _moves(p: int, autos: list, antiauto=None, scalars=(1,)) -> list:
     ]
 
 
+def _rb_moves(a: Algebra, w, autos: list) -> list:
+    """The moves of Rota-Baxter operators of weight w on a, as _moves.
+
+    Conjugation by autos (the whole automorphism group) and by a.antiauto;
+    at weight 0 also scaling by every nonzero scalar.
+    """
+    p = a.field.p
+    scalars = range(1, p) if w.is_zero() else (1,)
+    return _moves(p, autos, a.antiauto, scalars)
+
+
+def _unit_at_e0(ia: IntAlgebra) -> bool:
+    """Whether e_0 is the declared unit and multiplies as one."""
+    unit = ia.algebra.unit
+    basis = _basis_int(ia.dim)
+    return (
+        unit is not None
+        and tuple(x.value for x in unit) == basis[0]
+        and all(ia.tvec[0][j] == ia.tvec[j][0] == basis[j] for j in range(ia.dim))
+    )
+
+
 def _conjugate(p: int, move: tuple, cols: tuple) -> tuple:
     """The packed rows of left * R * right, for R given by its columns."""
     left, right_t = move
@@ -356,8 +381,8 @@ def _conjugate(p: int, move: tuple, cols: tuple) -> tuple:
 def _cosets(p: int, pool: list, moves: list) -> dict:
     """One representative per orbit of v -> left * v on pool, in pool order.
 
-    Each representative maps to the moves that first reach the other
-    members of its orbit, one move per member.
+    Each representative maps to (move, u) for the other members u of its
+    orbit, with the first move that reaches u.
     """
     seen: set = set()
     cosets = {}
@@ -370,8 +395,28 @@ def _cosets(p: int, pool: list, moves: list) -> dict:
             u = tuple(sum(map(mul, row, v)) % p for row in move[0])
             if u not in seen:
                 seen.add(u)
-                reach.append(move)
+                reach.append((move, u))
     return cosets
+
+
+def _images(ia: IntAlgebra, found: list, cosets: dict) -> list:
+    """The images of the leaves onto the other members of their orbits.
+
+    An image whose column 0 is not the member its move was chosen for
+    means the moves do not fix e_0 and raises LeafRejectedError.
+    """
+    dim = ia.dim
+    out = []
+    for cols in found:
+        for move, u in cosets.get(cols[0], ()):
+            packed = _conjugate(ia.p, move, cols)
+            image = tuple(packed[j::dim] for j in range(dim))
+            if image[0] != u:
+                raise LeafRejectedError(
+                    f"image {packed} on {ia.algebra.name} has R(e_0) = {image[0]}, not {u}"
+                )
+            out.append(image)
+    return out
 
 
 def _checked_leaves(ia: IntAlgebra, emitter, graded: bool, moves=()) -> list:
@@ -387,16 +432,20 @@ def _checked_leaves(ia: IntAlgebra, emitter, graded: bool, moves=()) -> list:
         pools[0] = list(cosets)
     found = _search(ia, emitter, pools)
     if moves:
-        dim = ia.dim
-        images = [_conjugate(ia.p, m, cols) for cols in found for m in cosets.get(cols[0], ())]
-        found += [tuple(packed[j::dim] for j in range(dim)) for packed in images]
+        found += _images(ia, found, cosets)
     found.sort(key=lambda cols: pack_columns(cols, ia.dim))
+    prev = None
     for cols in found:
+        if cols == prev:
+            raise LeafRejectedError(
+                f"search leaf {pack_columns(cols, ia.dim)} on {ia.algebra.name} is found twice"
+            )
         if not _leaf_ok(ia, emitter, cols) or (graded and not _keeps_grading(ia, cols)):
             raise LeafRejectedError(
                 f"search leaf {pack_columns(cols, ia.dim)} on {ia.algebra.name} "
                 "fails its leaf check"
             )
+        prev = cols
     return found
 
 
@@ -408,10 +457,7 @@ def enumerate_rb(a: Algebra, weight) -> list[RBOperator]:
     """
     ia = IntAlgebra(a)
     w = coerce_weight(a.field, weight)
-    moves = []
-    if a.unit is not None and tuple(x.value for x in a.unit) == _basis_int(ia.dim)[0]:
-        scalars = range(1, ia.p) if w.is_zero() else (1,)
-        moves = _moves(ia.p, enumerate_automorphisms(a), a.antiauto, scalars)
+    moves = _rb_moves(a, w, enumerate_automorphisms(a)) if _unit_at_e0(ia) else []
     found = _checked_leaves(ia, _RBEmitter(ia, w.value), graded=False, moves=moves)
     return [
         RBOperator._verified(LinearOperator(a, _columns_to_matrix(a.field, cols, ia.dim)), w)

@@ -279,6 +279,26 @@ def test_bad_move_rejects_its_images(monkeypatch):
         enumerate_rb(a, 0)
 
 
+def test_image_off_its_target_raises():
+    # on TP2 with u1 falsely declared the unit, the swap of u1 and u2 maps
+    # operators to operators, but not R(u1) = v to R(u1) = swap * v
+    ia = load("tp2_f3_false_unit")
+    a = ia.algebra
+    w = rb.coerce_weight(a.field, 1)
+    moves = search._rb_moves(a, w, enumerate_automorphisms(a))
+    assert len(moves) == 2
+    with pytest.raises(LeafRejectedError, match=r"R\(e_0\)"):
+        search._checked_leaves(ia, _RBEmitter(ia, 1), False, moves)
+
+
+def test_leaf_found_twice_raises(monkeypatch):
+    ia = load("k3_f3")
+    cols = ((0, 0, 0),) * 3
+    monkeypatch.setattr(search, "_search", lambda ia, emitter, pools: [cols, cols])
+    with pytest.raises(LeafRejectedError, match="found twice"):
+        enumerate_rb(ia.algebra, 1)
+
+
 @pytest.mark.parametrize("kind", ["rb", "auto", "derivation"])
 def test_rejected_leaf_exits_2(monkeypatch, kind):
     corrupt_search(monkeypatch, BAD)

@@ -252,3 +252,19 @@ def test_plain_search_without_unit_at_e0(monkeypatch, name, weight, count):
     assert len(enumerate_rb(a, weight)) == count
     assert calls == [search._full_pools(search.IntAlgebra(a), False)]
     assert autos == []
+
+
+@pytest.mark.parametrize("weight", [0, 1, 2])
+def test_false_unit_line_takes_plain_search(monkeypatch, weight):
+    # the file declares u1 the unit of TP2, but u1 * u2 = 0; the swap of u1
+    # and u2 is an automorphism that moves u1, so the split would be wrong
+    a = _fixture("tp2_f3_false_unit")
+    assert tuple(x.value for x in a.unit) == (1, 0)
+    expected = _plain(a, weight)
+    assert len(expected) == (1 if weight == 0 else 12)
+    calls = _record_rb_searches(monkeypatch)
+    autos = []
+    monkeypatch.setattr(search, "enumerate_automorphisms", lambda a: autos.append(a))
+    assert packed(enumerate_rb(a, weight)) == expected
+    assert calls == [search._full_pools(search.IntAlgebra(a), False)]
+    assert autos == []
