@@ -294,8 +294,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_classify(args) -> int:
     a = _load_algebra(args)
     w = a.field.parse(args.weight) if args.weight is not None else a.field.zero
-    ops = enumerate_rb(a, w)
-    report = orbit_classify(a, ops, w)
+    report = orbit_classify(a, w)
     print(f"classify algebra={a.name} weight={w}")
     for line in report.lines():
         print(line)

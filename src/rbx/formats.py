@@ -18,7 +18,8 @@ Grammar (one record per file, '#' lines and blank lines ignored):
     ("a=" ELEM* ";" "b=" ELEM*) x terms
 
 FIELD is Q, F<p> or F<p>(s=<a>); ELEM uses the field's element encoding.
-Writing then reading is the identity on the textual form.
+Writing then reading is the identity on the textual form.  An algebra that
+is not a builder's is validated when read (Algebra.validate).
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def algebra_from_text(text: str, allow_char2: bool = False) -> Algebra:
     try:
         rebuilt = build_algebra(field, name)
     except InvalidSpecError:
-        return parsed
+        return parsed.validate()
     if (
         rebuilt.dim == parsed.dim
         and rebuilt.basis == parsed.basis
@@ -125,7 +126,7 @@ def algebra_from_text(text: str, allow_char2: bool = False) -> Algebra:
     ):
         # canonical algebra: keep the builder's structural extras
         return rebuilt
-    return parsed
+    return parsed.validate()
 
 
 # ---------------------------------------------------------------------------

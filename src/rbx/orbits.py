@@ -6,11 +6,10 @@ antiautomorphism (transposition on matrix algebras), and, for weight zero
 only, rescaling the whole matrix.  The moves generate a finite group that
 is listed in full, so each orbit is the set of images of one operator
 under every group element, computed in plain integer arithmetic; the
-canonical representative is the row-major smallest member.  The group
-itself (_moves, and _rb_moves for the moves of a weight) and the image of
-one operator under a move (_conjugate) live in search, which also uses
-them to search one orbit of R(1) at a time; this module imports them from
-there.
+canonical representative is the row-major smallest member.
+orbit_classify searches the automorphisms once, builds the group from them
+(search._rb_moves), and partitions the leaves of the operator search split
+by that group (search._rb_leaves).
 
 The claims form one table, CLAIMS: each row names the primes and weight
 its claim runs over, and the phrase `rbx verify` prints when it holds.
@@ -24,11 +23,10 @@ from dataclasses import dataclass
 from functools import partial
 
 from .algebras import Algebra, grassmann2, jordan_form, kaplansky3, matrix_algebra
-from .errors import OrbitEscapeError, UnsupportedFieldError
-from .fields import PrimeField, QuadraticExtension
+from .errors import OrbitEscapeError
+from .fields import PrimeField
 from .linalg import Matrix, vec_is_zero
 from .rb import (
-    LinearOperator,
     RBOperator,
     _diagnostics,
     apply_phi,
@@ -37,22 +35,22 @@ from .rb import (
     weight0_matrix_ops,
 )
 from .search import (
+    IntAlgebra,
+    _automorphisms,
     _conjugate,
     _moves,
+    _rb_leaves,
     _rb_moves,
+    _rb_operators,
     _to_int_rows,
-    enumerate_automorphisms,
     enumerate_derivations,
     enumerate_rb,
+    pack_columns,
 )
 
 
 def _pack_rows(rows: tuple) -> tuple:
     return tuple(x for row in rows for x in row)
-
-
-def _unpack_rows(packed: tuple, dim: int) -> tuple:
-    return tuple(packed[i * dim : (i + 1) * dim] for i in range(dim))
 
 
 def matrix_hex(packed: tuple, p: int) -> str:
@@ -77,14 +75,14 @@ class OrbitReport:
     algebra_name: str
     weight: str
     orbits: tuple
-    total: int
+    operators: tuple  # every operator classified, sorted row-major
 
     def lines(self) -> list[str]:
         out = []
         for k, orb in enumerate(self.orbits):
             tags = ",".join(orb.tags)
             out.append(f"orbit {k}: size={orb.size} rep={orb.rep_hex} tags={tags}")
-        out.append(f"total={self.total} orbits={len(self.orbits)}")
+        out.append(f"total={len(self.operators)} orbits={len(self.orbits)}")
         return out
 
     def orbit_of(self, packed: tuple) -> int | None:
@@ -117,44 +115,38 @@ def pack_operator(r: RBOperator) -> tuple:
     return _pack_rows(_to_int_rows(r.matrix))
 
 
-def orbit_classify(a: Algebra, ops: list[RBOperator], weight) -> OrbitReport:
-    """Partition the operators into orbits under the three moves.
+def orbit_classify(a: Algebra, weight) -> OrbitReport:
+    """Every Rota-Baxter operator of the weight on a, in orbits under the
+    three moves.
 
-    ops must be closed under the moves; an image outside it raises
-    OrbitEscapeError.
+    The moves come from one automorphism search, and the operator search
+    is split by them when the unit is e_0.  An image of an operator that is
+    not itself an operator raises OrbitEscapeError.
     """
-    field = a.field
-    if isinstance(field, QuadraticExtension) or not isinstance(field, PrimeField):
-        raise UnsupportedFieldError("orbit classification runs over prime fields")
-    p = field.p
-    dim = a.dim
-    w = coerce_weight(field, weight)
-    moves = _rb_moves(a, w, enumerate_automorphisms(a))
-    keys = {pack_operator(r) for r in ops}
+    ia = IntAlgebra(a)
+    p, dim = ia.p, ia.dim
+    w = coerce_weight(a.field, weight)
+    moves = _rb_moves(a, w, _automorphisms(ia))
+    found = _rb_leaves(ia, w, moves)
+    by_key = dict(zip((pack_columns(cols, dim) for cols in found), _rb_operators(a, w, found)))
     seen: set = set()
     orbits = []
-    for r in ops:
-        packed = pack_operator(r)
+    for cols, packed in zip(found, by_key):
         if packed in seen:
             continue
-        cols = tuple(packed[j::dim] for j in range(dim))
         members = frozenset(_conjugate(p, m, cols) for m in moves)
-        if not members <= keys:
+        if not members <= by_key.keys():
             raise OrbitEscapeError(
                 f"the orbit of operator {matrix_hex(packed, p)} leaves the "
-                f"{len(ops)} operators being classified"
+                f"{len(found)} operators being classified"
             )
         seen |= members
         rep = min(members)
-        rep_op = RBOperator(
-            LinearOperator(
-                a, Matrix(field, [[field.element(x) for x in row] for row in _unpack_rows(rep, dim)])
-            ),
-            w,
-        )
+        # each representative is checked once more, by the FieldElement checker
+        rep_op = RBOperator(by_key[rep].operator, w)
         orbits.append(OrbitInfo(len(members), rep, matrix_hex(rep, p), _op_tags(rep_op), members))
     orbits.sort(key=lambda o: o.rep)
-    return OrbitReport(a.name, str(w), tuple(orbits), len(ops))
+    return OrbitReport(a.name, str(w), tuple(orbits), tuple(by_key.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +235,11 @@ def _claim_m2_weight0(claim: Claim) -> tuple[bool, list[str]]:
     for p in claim.primes:
         field = PrimeField(p)
         a = matrix_algebra(field, 2)
-        ops = enumerate_rb(a, claim.weight)
-        lines.append(f"M2 over F{p} weight {claim.weight}: {len(ops)} operators")
-        fault = _soundness_fault(a, ops)
+        report = orbit_classify(a, claim.weight)
+        lines.append(f"M2 over F{p} weight {claim.weight}: {len(report.operators)} operators")
+        fault = _soundness_fault(a, report.operators)
         ok = ok and fault is None
         lines.append(fault or "every image is unit-free and singular, kernels have dim >= 2")
-        report = orbit_classify(a, ops, claim.weight)
         lines.extend(report.lines())
         placements = {
             name: report.orbit_of(pack_operator(op))
@@ -266,9 +257,8 @@ def _claim_m2_weight0(claim: Claim) -> tuple[bool, list[str]]:
     return ok, lines
 
 
-def _closure_of_patterns(a: Algebra, patterns) -> set:
-    p = a.field.p
-    moves = _moves(p, enumerate_automorphisms(a))
+def _closure_of_patterns(p: int, autos: list, patterns) -> set:
+    moves = _moves(p, autos)
     closure: set = set()
     for rows in patterns:
         # Aut is a group: a pattern already reached brings nothing new
@@ -299,11 +289,13 @@ def _claim_pattern_closure(label: str, build, patterns, claim: Claim) -> tuple[b
     lines = []
     for p in claim.primes:
         a = build(PrimeField(p))
-        ops = enumerate_rb(a, claim.weight)
-        closure = _closure_of_patterns(a, patterns(p))
-        keys = {pack_operator(r) for r in ops}
+        ia = IntAlgebra(a)
+        w = coerce_weight(a.field, claim.weight)
+        autos = _automorphisms(ia)
+        keys = {pack_columns(cols, ia.dim) for cols in _rb_leaves(ia, w, _rb_moves(a, w, autos))}
+        closure = _closure_of_patterns(p, autos, patterns(p))
         lines.append(
-            f"{label} over F{p} weight {claim.weight}: {len(ops)} operators, "
+            f"{label} over F{p} weight {claim.weight}: {len(keys)} operators, "
             f"{len(closure)} pattern conjugates, outside the closure: {len(keys - closure)}"
         )
         extra = len(closure - keys)

@@ -15,18 +15,18 @@ the result list is deterministic; a raw enumerator with none of this
 machinery double-checks the pruned one on small spaces.
 
 Rota-Baxter operators are searched modulo a group when the first basis
-vector e_0 is the unit: declared as the unit and checked against the
-structure constants, since a unit= line read from a file is not.  The
+vector e_0 is a two-sided identity of the structure constants, declared as
+the unit or not: every automorphism and antiautomorphism fixes it.  The
 moves (conjugation by every automorphism, by the recorded
 antiautomorphism, and at weight 0 scaling by every nonzero scalar; the
-group orbits also uses) map operators to operators and fix the unit, so a
-move (left, right) sends an operator with R(e_0) = v bijectively to one
-with R(e_0) = left * v.  Column 0 therefore runs over one value per orbit
-of v -> left * v, in one search; every operator with another value u of
-R(e_0) is the image of a leaf under the first move that reaches u (McKay,
-Isomorph-free exhaustive generation, J. Algorithms 26, 1998).
-Automorphisms, derivations and algebras without the unit at e_0 take the
-plain search.
+group orbit_classify sorts operators by) map operators to operators and
+fix the unit, so a move (left, right) sends an operator with R(e_0) = v
+bijectively to one with R(e_0) = left * v.  Column 0 therefore runs over
+one value per orbit of v -> left * v, in one search; every operator with
+another value u of R(e_0) is the image of a leaf under the first move
+that reaches u (McKay, Isomorph-free exhaustive generation, J. Algorithms
+26, 1998).  Automorphisms, derivations and algebras without the unit at
+e_0 take the plain search.
 
 All arithmetic here runs on plain integer residues.  Each leaf the search
 reaches, and each image of one, is checked once, on residues, against the
@@ -332,12 +332,13 @@ def _moves(p: int, autos: list, antiauto=None, scalars=(1,)) -> list:
     """The group generated by the moves, as (left, right^T) residue pairs.
 
     A move sends R to left * R * right.  autos must be the whole
-    automorphism group.  An antiautomorphism t normalises it and t*t is an
-    automorphism, so Aut and t*Aut together are closed under composition;
-    scalars commute with conjugation.  The returned moves are therefore
-    the whole group, and one operator's images under them are its orbit.
+    automorphism group, as residue columns (_automorphisms).  An
+    antiautomorphism t normalises it and t*t is an automorphism, so Aut and
+    t*Aut together are closed under composition; scalars commute with
+    conjugation.  The returned moves are therefore the whole group, and one
+    operator's images under them are its orbit.
     """
-    pairs = [(_inverse_mod_p(rows, p), rows) for rows in map(_to_int_rows, autos)]
+    pairs = [(_inverse_mod_p(rows, p), rows) for rows in (tuple(zip(*h)) for h in autos)]
     if antiauto is not None:
         t = _to_int_rows(antiauto)
         tinv = _inverse_mod_p(t, p)
@@ -352,8 +353,9 @@ def _moves(p: int, autos: list, antiauto=None, scalars=(1,)) -> list:
 def _rb_moves(a: Algebra, w, autos: list) -> list:
     """The moves of Rota-Baxter operators of weight w on a, as _moves.
 
-    Conjugation by autos (the whole automorphism group) and by a.antiauto;
-    at weight 0 also scaling by every nonzero scalar.
+    Conjugation by autos (the whole automorphism group, as residue
+    columns) and by a.antiauto; at weight 0 also scaling by every nonzero
+    scalar.
     """
     p = a.field.p
     scalars = range(1, p) if w.is_zero() else (1,)
@@ -361,14 +363,9 @@ def _rb_moves(a: Algebra, w, autos: list) -> list:
 
 
 def _unit_at_e0(ia: IntAlgebra) -> bool:
-    """Whether e_0 is the declared unit and multiplies as one."""
-    unit = ia.algebra.unit
+    """Whether e_0 multiplies as a two-sided identity, declared or not."""
     basis = _basis_int(ia.dim)
-    return (
-        unit is not None
-        and tuple(x.value for x in unit) == basis[0]
-        and all(ia.tvec[0][j] == ia.tvec[j][0] == basis[j] for j in range(ia.dim))
-    )
+    return all(ia.tvec[0][j] == ia.tvec[j][0] == basis[j] for j in range(ia.dim))
 
 
 def _conjugate(p: int, move: tuple, cols: tuple) -> tuple:
@@ -449,34 +446,47 @@ def _checked_leaves(ia: IntAlgebra, emitter, graded: bool, moves=()) -> list:
     return found
 
 
+def _rb_leaves(ia: IntAlgebra, w, moves) -> list:
+    """Every operator of weight w as checked residue columns, sorted.
+
+    moves (_rb_moves, or ()) split the search only when e_0 is the unit.
+    """
+    split = moves if _unit_at_e0(ia) else ()
+    return _checked_leaves(ia, _RBEmitter(ia, w.value), graded=False, moves=split)
+
+
+def _rb_operators(a: Algebra, w, found) -> list[RBOperator]:
+    return [
+        RBOperator._verified(LinearOperator(a, _columns_to_matrix(a.field, cols, a.dim)), w)
+        for cols in found
+    ]
+
+
 def enumerate_rb(a: Algebra, weight) -> list[RBOperator]:
     """All Rota-Baxter operators of the given weight, sorted row-major.
 
-    When the unit is e_0, R(1) is searched one orbit of the moves at a
-    time, as the module docstring explains.
+    The automorphism group is built only when the unit is e_0, where it
+    splits the search.
     """
     ia = IntAlgebra(a)
     w = coerce_weight(a.field, weight)
-    moves = _rb_moves(a, w, enumerate_automorphisms(a)) if _unit_at_e0(ia) else []
-    found = _checked_leaves(ia, _RBEmitter(ia, w.value), graded=False, moves=moves)
-    return [
-        RBOperator._verified(LinearOperator(a, _columns_to_matrix(a.field, cols, ia.dim)), w)
-        for cols in found
-    ]
+    moves = _rb_moves(a, w, _automorphisms(ia)) if _unit_at_e0(ia) else ()
+    return _rb_operators(a, w, _rb_leaves(ia, w, moves))
+
+
+def _automorphisms(ia: IntAlgebra) -> list:
+    """All automorphisms (grading-preserving when graded), sorted.
+
+    These residue columns are the automorphisms rbx works with; the search
+    encodes multiplicativity only, and singular leaves are dropped.
+    """
+    found = _checked_leaves(ia, _AutoEmitter(ia), graded=True)
+    return [cols for cols in found if _inverse_mod_p(cols, ia.p) is not None]
 
 
 def enumerate_automorphisms(a: Algebra) -> list[Matrix]:
-    """All algebra automorphisms (grading-preserving when graded), sorted.
-
-    The search encodes multiplicativity only; singular leaves are dropped.
-    """
-    ia = IntAlgebra(a)
-    found = _checked_leaves(ia, _AutoEmitter(ia), graded=True)
-    return [
-        _columns_to_matrix(a.field, cols, ia.dim)
-        for cols in found
-        if _inverse_mod_p(cols, ia.p) is not None
-    ]
+    """All algebra automorphisms as matrices, in the order of _automorphisms."""
+    return [_columns_to_matrix(a.field, cols, a.dim) for cols in _automorphisms(IntAlgebra(a))]
 
 
 def enumerate_derivations(a: Algebra, weight) -> list[LinearOperator]:
@@ -508,10 +518,7 @@ def enumerate_rb_raw(a: Algebra, weight) -> list[RBOperator]:
     pool = _column_pool(ia.p, ia.dim)
     found = [cols for cols in itertools.product(pool, repeat=ia.dim) if _leaf_ok(ia, emitter, cols)]
     found.sort(key=lambda cols: pack_columns(cols, ia.dim))
-    return [
-        RBOperator._verified(LinearOperator(a, _columns_to_matrix(a.field, cols, ia.dim)), w)
-        for cols in found
-    ]
+    return _rb_operators(a, w, found)
 
 
 def enumerate_automorphisms_raw(a: Algebra) -> list[Matrix]:

@@ -235,6 +235,35 @@ def test_raw_automorphisms_guarded():
     assert err.splitlines()[0] == "error: 5^9 exceeds the raw enumeration guard"
 
 
+def test_false_unit_line_exits_2():
+    # u1 is declared the unit of TP2, but u1 * u2 = 0
+    for argv in (["info"], ["classify", "--weight", "1"]):
+        code, out, err = run(*argv, "--algebra", fx("tp2_f3_false_unit.alg"))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[0] == "error: unit law fails on basis u2"
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        *(f"classify-{alg}-w{w}" for alg in ("gr2_f3", "m2_f3", "k3_f3") for w in (0, 1)),
+        "verify-T6-soundness",
+        "verify-P1-gr2-weight0",
+    ],
+)
+def test_golden_output(name):
+    # stdout as recorded before classification ran its own search; all exit 0
+    command, rest = name.split("-", 1)
+    if command == "classify":
+        alg, w = rest.rsplit("-w", 1)
+        code, out, _ = run("classify", "--algebra", fx(f"{alg}.alg"), "--weight", w)
+    else:
+        code, out, _ = run("verify", "--claim", rest)
+    assert code == 0
+    assert out == (FIXTURES / "golden" / f"{name}.out").read_text(encoding="utf-8")
+
+
 def test_enumerate_derivations_cli():
     code, out, _ = run(
         "enumerate", "--algebra", fx("gr2_f3.alg"), "--kind", "derivation",

@@ -1,9 +1,10 @@
 """Orbit classification and the claim suite.
 
-orbit_classify takes each orbit as the images of one operator under the
-whole group of moves.  The tests compare it with a closure under the moves
-one at a time, check that the moves form a group, and count the T6 orbits
-by Burnside's lemma.
+orbit_classify runs its own operator search and takes each orbit as the
+images of one operator under the whole group of moves.  The tests compare
+it with a closure under the moves one at a time, check that the moves form
+a group, count the T6 orbits by Burnside's lemma, and count the
+automorphism searches each command makes.
 """
 
 import contextlib
@@ -14,8 +15,8 @@ import re
 
 import pytest
 
-from rbx import orbits, rb
-from rbx.algebras import kaplansky3, matrix_algebra
+from rbx import orbits, rb, search
+from rbx.algebras import grassmann2, kaplansky3, matrix_algebra
 from rbx.cli import main
 from rbx.errors import OrbitEscapeError
 from rbx.fields import PrimeField
@@ -45,9 +46,8 @@ def test_matrix_hex_encoding():
 
 def test_m2_f3_weight0_orbits():
     a = matrix_algebra(F3, 2)
-    ops = enumerate_rb(a, 0)
-    report = orbit_classify(a, ops, 0)
-    assert report.total == 89
+    report = orbit_classify(a, 0)
+    assert len(report.operators) == 89
     assert len(report.orbits) == 5
     assert [o.size for o in report.orbits] == [1, 48, 16, 8, 16]
     # orbit sizes cover the whole enumeration exactly once
@@ -68,9 +68,8 @@ def test_m2_f3_weight0_orbits():
 
 def test_orbit_report_lines_deterministic():
     a = matrix_algebra(F3, 2)
-    ops = enumerate_rb(a, 0)
-    lines1 = orbit_classify(a, ops, 0).lines()
-    lines2 = orbit_classify(a, ops, 0).lines()
+    lines1 = orbit_classify(a, 0).lines()
+    lines2 = orbit_classify(a, 0).lines()
     assert lines1 == lines2
     assert lines1[-1] == "total=89 orbits=5"
     assert lines1[0].startswith("orbit 0: size=1 rep=0 tags=")
@@ -78,8 +77,7 @@ def test_orbit_report_lines_deterministic():
 
 def test_orbit_tags_content():
     a = matrix_algebra(F3, 2)
-    ops = enumerate_rb(a, 0)
-    report = orbit_classify(a, ops, 0)
+    report = orbit_classify(a, 0)
     tags_by_orbit = [o.tags for o in report.orbits]
     # the zero operator is splitting with square zero and kills the unit
     assert "splitting" in tags_by_orbit[0] and "sq0" in tags_by_orbit[0]
@@ -133,8 +131,8 @@ def test_pattern_claims_need_equality(monkeypatch):
     # a closure that reaches every operator but also a non-operator fails
     real = orbits._closure_of_patterns
 
-    def too_big(a, patterns):
-        return real(a, patterns) | {(1,) * a.dim**2}
+    def too_big(p, autos, patterns):
+        return real(p, autos, patterns) | {(1,) * len(autos[0]) ** 2}
 
     monkeypatch.setattr(orbits, "_closure_of_patterns", too_big)
     rep = verify_claim("P2-k3-weight0")
@@ -230,7 +228,8 @@ def test_group_images_match_move_closure(name, weight):
     # matrix_algebra records transposition as an antiautomorphism, K3 none
     a = matrix_algebra(F3, 2) if name == "m2_f3" else kaplansky3(F3)
     ops = enumerate_rb(a, weight)
-    report = orbit_classify(a, ops, weight)
+    report = orbit_classify(a, weight)
+    assert [pack_operator(r) for r in report.operators] == [pack_operator(r) for r in ops]
     got = [(o.rep, o.size, o.members) for o in report.orbits]
     assert got == bfs_orbits(a, ops, weight)
     assert len(got) == ORBIT_CASES[name, weight]
@@ -240,7 +239,7 @@ def test_moves_closed_under_composition():
     # the premise of orbit_classify: on M2/F3 at weight 0 the moves
     # (automorphisms, transposition, scalars) are already the whole group
     a = matrix_algebra(F3, 2)
-    moves = orbits._moves(3, enumerate_automorphisms(a), a.antiauto, (1, 2))
+    moves = search._moves(3, search._automorphisms(search.IntAlgebra(a)), a.antiauto, (1, 2))
     pairs = {(left, tuple(zip(*right_t))) for left, right_t in moves}
     assert len(pairs) == len(moves) == 24 * 2 * 2
     for l1, r1 in pairs:
@@ -279,9 +278,7 @@ def test_representatives_checked_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(rb, "check_rb", counted)
-    a = matrix_algebra(F3, 2)
-    ops = enumerate_rb(a, 0)
-    report = orbit_classify(a, ops, 0)
+    report = orbit_classify(matrix_algebra(F3, 2), 0)
     assert len(calls) == len(report.orbits) == 5
 
 
@@ -290,20 +287,16 @@ def test_representatives_checked_once(monkeypatch):
 
 def _with_bad_automorphism(monkeypatch):
     # scaling e12 alone is invertible but not multiplicative on M2
-    real = orbits.enumerate_automorphisms
-
-    def autos(a):
-        bad = Matrix(a.field, [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-        return real(a) + [bad]
-
-    monkeypatch.setattr(orbits, "enumerate_automorphisms", autos)
+    real = orbits._automorphisms
+    bad = ((1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    monkeypatch.setattr(orbits, "_automorphisms", lambda ia: real(ia) + [bad])
 
 
 def test_orbit_escape_raises(monkeypatch):
     _with_bad_automorphism(monkeypatch)
     a = matrix_algebra(F3, 2)
     with pytest.raises(OrbitEscapeError, match="leaves the 89 operators"):
-        orbit_classify(a, enumerate_rb(a, 0), 0)
+        orbit_classify(a, 0)
 
 
 def test_orbit_escape_exits_2(monkeypatch):
@@ -314,3 +307,63 @@ def test_orbit_escape_exits_2(monkeypatch):
         assert main(argv) == 2
     assert out.getvalue() == ""
     assert err.getvalue().startswith("error: the orbit of operator ")
+
+
+# --- one automorphism search per command ---------------------------------------
+
+
+def _count_automorphism_searches(monkeypatch) -> list:
+    # every rbx module that binds search._automorphisms
+    calls = []
+    real = search._automorphisms
+
+    def counted(ia):
+        calls.append(ia.algebra.name)
+        return real(ia)
+
+    for module in (search, orbits):
+        monkeypatch.setattr(module, "_automorphisms", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--algebra", str(FIXTURES / "gr2_f3.alg"), "--weight", "0"],
+        ["classify", "--algebra", str(FIXTURES / "m2_f3.alg"), "--weight", "0"],
+        ["verify", "--claim", "P1-gr2-weight0"],
+        ["verify", "--claim", "T6-soundness"],
+    ],
+)
+def test_one_automorphism_search_per_command(monkeypatch, argv):
+    calls = _count_automorphism_searches(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+    assert len(calls) == 1
+
+
+def _record_rb_searches(monkeypatch) -> list:
+    # the column pools of every operator search
+    calls = []
+    real = search._search
+
+    def recording(ia, emitter, pools):
+        if isinstance(emitter, search._RBEmitter):
+            calls.append(pools)
+        return real(ia, emitter, pools)
+
+    monkeypatch.setattr(search, "_search", recording)
+    return calls
+
+
+def test_t6_searches_operators_once(monkeypatch):
+    calls = _record_rb_searches(monkeypatch)
+    assert verify_claim("T6-soundness").ok
+    assert [len(pools[0]) for pools in calls] == [81]
+
+
+def test_classify_runs_the_split_search(monkeypatch):
+    # Gr2/F3 has its unit at e_0: at weight 0 column 0 runs over 6 of 81 values
+    calls = _record_rb_searches(monkeypatch)
+    assert len(orbit_classify(grassmann2(F3), 0).operators) == 315
+    assert [len(pools[0]) for pools in calls] == [6]

@@ -4,6 +4,7 @@ import pytest
 
 from rbx import search
 from rbx.algebras import (
+    Algebra,
     cayley_dickson,
     grassmann2,
     jordan_form,
@@ -197,9 +198,15 @@ def _record_rb_searches(monkeypatch):
     return calls
 
 
-# algebras whose unit is e_0
+def _without_unit_line(a):
+    table = [[a.table_vector(i, j) for j in range(a.dim)] for i in range(a.dim)]
+    return Algebra(a.field, a.name, a.basis, table)
+
+
+# algebras whose unit is e_0, declared or not
 UNIT_AT_E0 = {
     "gr2_f3": lambda: grassmann2(F3),
+    "gr2_f3_undeclared": lambda: _without_unit_line(grassmann2(F3)),
     "j11_f3": lambda: jordan_form(F3, [1, 1]),
     "j11_f5": lambda: jordan_form(F5, [1, 1]),
     "j3_f5": lambda: _fixture("j3_f5"),
@@ -211,7 +218,8 @@ UNIT_AT_E0 = {
 @pytest.mark.parametrize(
     "name,weight",
     [
-        ("gr2_f3", 0), ("gr2_f3", 1), ("j11_f3", 1), ("j11_f5", 0), ("j11_f5", 1),
+        ("gr2_f3", 0), ("gr2_f3", 1), ("gr2_f3_undeclared", 0), ("gr2_f3_undeclared", 1),
+        ("j11_f3", 1), ("j11_f5", 0), ("j11_f5", 1),
         ("j3_f5", 0), ("j3_f5", 1), ("tp1_f3", 0), ("tp1_f3", 1), ("cd11_f3", 0), ("cd11_f3", 1),
     ],
 )
@@ -220,7 +228,7 @@ def test_orbit_split_equals_plain_search(name, weight):
     # at weight 0 and on CD(1,1) some operators have R(1) outside the span
     # of 1, so they come out as images
     a = UNIT_AT_E0[name]()
-    assert tuple(x.value for x in a.unit) == (1,) + (0,) * (a.dim - 1)
+    assert search._unit_at_e0(search.IntAlgebra(a))
     assert packed(enumerate_rb(a, weight)) == _plain(a, weight)
 
 
@@ -248,7 +256,7 @@ def test_plain_search_without_unit_at_e0(monkeypatch, name, weight, count):
     a = NO_UNIT_AT_E0[name]()
     calls = _record_rb_searches(monkeypatch)
     autos = []
-    monkeypatch.setattr(search, "enumerate_automorphisms", lambda a: autos.append(a))
+    monkeypatch.setattr(search, "_automorphisms", lambda ia: autos.append(ia))
     assert len(enumerate_rb(a, weight)) == count
     assert calls == [search._full_pools(search.IntAlgebra(a), False)]
     assert autos == []
@@ -256,15 +264,15 @@ def test_plain_search_without_unit_at_e0(monkeypatch, name, weight, count):
 
 @pytest.mark.parametrize("weight", [0, 1, 2])
 def test_false_unit_line_takes_plain_search(monkeypatch, weight):
-    # the file declares u1 the unit of TP2, but u1 * u2 = 0; the swap of u1
-    # and u2 is an automorphism that moves u1, so the split would be wrong
-    a = _fixture("tp2_f3_false_unit")
-    assert tuple(x.value for x in a.unit) == (1, 0)
+    # u1 is declared the unit of TP2, but u1 * u2 = 0; the swap of u1 and u2
+    # is an automorphism that moves u1, so the split would be wrong (the
+    # parser rejects such an algebra, so it is built here)
+    a = Algebra(F3, "TP2", ("u1", "u2"), [[(1, 0), (0, 0)], [(0, 0), (0, 1)]], unit=(1, 0))
     expected = _plain(a, weight)
     assert len(expected) == (1 if weight == 0 else 12)
     calls = _record_rb_searches(monkeypatch)
     autos = []
-    monkeypatch.setattr(search, "enumerate_automorphisms", lambda a: autos.append(a))
+    monkeypatch.setattr(search, "_automorphisms", lambda ia: autos.append(ia))
     assert packed(enumerate_rb(a, weight)) == expected
     assert calls == [search._full_pools(search.IntAlgebra(a), False)]
     assert autos == []
