@@ -2,15 +2,14 @@
 
 Exit codes: 0 success or property true, 1 property false, 2 usage or
 input error.  Data goes to stdout and is byte-deterministic; timing goes
-to stderr.  The environment variable RBX_SEED seeds any randomized
-helper that callers build on top (see rng_from_env).
+to stderr.  Each subcommand, and each construct verb, accepts only the
+options its handler reads (COMMANDS and VERBS); any other option is a
+usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
-import random
 import sys
 import time
 
@@ -67,11 +66,6 @@ from .ybe import (
 )
 
 
-def rng_from_env(default: int = 20240) -> random.Random:
-    """Shared seed source: RBX_SEED overrides the fixed default."""
-    return random.Random(int(os.environ.get("RBX_SEED", default)))
-
-
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -83,19 +77,40 @@ def _load_algebra(args) -> Algebra:
     return algebra_from_text(_read(args.algebra), allow_char2=args.allow_char2)
 
 
-def _load_operator(args, a: Algebra):
+def _weight(args, field, default):
+    return field.parse(args.weight) if args.weight is not None else default
+
+
+def _read_operator(args, a: Algebra):
     if not args.op:
         raise RbxError("--op FILE is required here")
-    op, w = operator_from_text(_read(args.op), a)
-    if args.weight is not None:
-        w = a.field.parse(args.weight)
-    return op, w
+    return operator_from_text(_read(args.op), a)
+
+
+def _load_operator(args, a: Algebra):
+    """The --op operator with its weight, which --weight overrides."""
+    op, w = _read_operator(args, a)
+    return op, _weight(args, a.field, w)
+
+
+def _checked_rb(op, w) -> RBOperator | None:
+    """The operator if it is Rota-Baxter; otherwise print why not."""
+    if check_rb(op, w):
+        return RBOperator._verified(op, w)
+    print(f"not RB weight={w}")
+    return None
 
 
 def _field_from_p(args):
     if args.p is None:
         return Rationals()
     return PrimeField(args.p, allow_char2=args.allow_char2)
+
+
+def _jordan_spec(args, diagonal: str) -> JordanSpec:
+    field = _field_from_p(args)
+    diag = _parse_scalars(field, args.d or diagonal)
+    return JordanSpec.make(field, diag, _weight(args, field, field.one))
 
 
 def _case_tag(r: RBOperator) -> str:
@@ -106,8 +121,14 @@ def _case_tag(r: RBOperator) -> str:
     return rep.unit_case if rep.unit_case != "not-applicable" else "none"
 
 
-def _emit(text: str):
+def _emit(text: str) -> int:
+    """Print a command's result; returns its exit code, 0."""
     sys.stdout.write(text)
+    return 0
+
+
+def _parse_scalars(field, text: str):
+    return tuple(field.parse(t) for t in text.split(","))
 
 
 # ---------------------------------------------------------------------------
@@ -134,166 +155,58 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _parse_indices(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t != ""]
-
-
-def _parse_scalars(field, text: str):
-    return tuple(field.parse(t) for t in text.split(","))
-
-
-def _cmd_construct(args) -> int:
-    verb = args.verb
-    if verb in ("ex11", "ex12"):
-        r = nonsplit_dim4_op() if verb == "ex11" else split_dim4_op()
-        _emit(operator_to_text(r))
-        return 0
-    if verb == "ex10":
-        field = _field_from_p(args)
-        diag = _parse_scalars(field, args.d or "1,1,1")
-        spec = JordanSpec.make(field, diag, field.parse(args.weight or "1"))
-        _emit(operator_to_text(block_pair_op(spec)))
-        return 0
-    if verb == "ex13":
-        field = _field_from_p(args)
-        diag = _parse_scalars(field, args.d or "1,1")
-        spec = JordanSpec.make(field, diag, field.parse(args.weight or "1"))
-        if args.alpha is None or args.k is None or args.l is None:
-            raise RbxError("ex13 needs --alpha a0,a1,a2 --k K --l L")
-        alpha = _parse_scalars(field, args.alpha)
-        r = rank_one_split_op(spec, alpha, field.parse(args.k), field.parse(args.l))
-        _emit(operator_to_text(r))
-        return 0
-    if verb in ("m1", "m2", "m3", "m4"):
-        field = _field_from_p(args)
-        _emit(operator_to_text(weight0_matrix_ops(field)[verb]))
-        return 0
-    if verb == "example14":
-        field = _field_from_p(args)
-        _emit(operator_to_text(nonsplit_weight1_op(field)))
-        return 0
-    if verb == "example16":
-        field = _field_from_p(args)
-        _emit(tensor_to_text(corner_pair_tensor(field)))
-        return 0
-
-    a = _load_algebra(args)
-    if verb == "split":
-        if args.first is None:
-            raise RbxError("split needs --first i,j,... (basis indices of the first part)")
-        w = a.field.parse(args.weight) if args.weight is not None else a.field.one
-        chosen = set(_parse_indices(args.first))
-        first = Subspace(a.field, a.dim, [a.basis_vector(i) for i in sorted(chosen)])
-        second = Subspace(
-            a.field, a.dim, [a.basis_vector(i) for i in range(a.dim) if i not in chosen]
-        )
-        r = split_op(Decomposition(a, first, second), w)
-        _emit(operator_to_text(r))
-        return 0
-    if verb == "phi":
-        op, w = _load_operator(args, a)
-        if not check_rb(op, w):
-            print(f"not RB weight={w}")
-            return 1
-        _emit(operator_to_text(apply_phi(RBOperator._verified(op, w))))
-        return 0
-    if verb == "conjugate":
-        op, w = _load_operator(args, a)
-        if args.auto is None:
-            raise RbxError("conjugate needs --auto FILE with the automorphism matrix")
-        psi, _ = operator_from_text(_read(args.auto), a)
-        if not check_rb(op, w):
-            print(f"not RB weight={w}")
-            return 1
-        _emit(operator_to_text(conjugate(RBOperator._verified(op, w), psi.matrix)))
-        return 0
-    if verb == "l-e":
-        if args.element is None:
-            raise RbxError("l-e needs --element c0,c1,... and --weight LAM")
-        w = a.field.parse(args.weight) if args.weight is not None else a.field.one
-        ev = _parse_scalars(a.field, args.element)
-        op = left_mult_op(a, ev, w)
-        _emit(operator_to_text(op, w))
-        return 0
-    if verb == "from-derivation":
-        op, w = _load_operator(args, a)
-        _emit(operator_to_text(rb_from_inverse_derivation(op, w)))
-        return 0
-    if verb == "triple-to-rb":
-        # round trip through the (subalgebra, ideal, section) data of a
-        # weight-0 operator and emit the rebuilt operator
-        op, w = _load_operator(args, a)
-        if not check_rb(op, w):
-            print(f"not RB weight={w}")
-            return 1
-        triple = rb_to_triple(RBOperator._verified(op, w))
-        _emit(operator_to_text(triple_to_rb(triple)))
-        return 0
-    raise RbxError(f"unknown construct verb {verb!r}")
-
-
 def _cmd_convert(args) -> int:
-    a = _load_algebra(args)
-    if args.mode == "sandwich":
-        if args.tensor is None:
-            raise RbxError("sandwich mode needs --tensor FILE")
-        t = tensor_from_text(_read(args.tensor), a)
-        op = op_from_tensor_sandwich(t)
-        _emit(operator_to_text(op, a.field.zero))
-        return 0
-    if args.mode == "form-trace":
-        if args.tensor is None:
-            raise RbxError("form-trace mode needs --tensor FILE")
-        t = tensor_from_text(_read(args.tensor), a)
-        op = op_from_tensor_form(t, trace_form(a))
-        _emit(operator_to_text(op, a.field.zero))
-        return 0
     if args.mode == "to-tensor":
-        op, _w = _load_operator(args, a)
-        t = tensor_from_op(op, trace_form(a))
-        _emit(tensor_to_text(t))
-        return 0
-    raise RbxError(f"unknown convert mode {args.mode!r}")
+        if args.tensor is not None:
+            raise RbxError("--tensor does not apply to --mode to-tensor")
+    elif args.op is not None:
+        raise RbxError(f"--op does not apply to --mode {args.mode}")
+    a = _load_algebra(args)
+    if args.mode == "to-tensor":
+        op, _w = _read_operator(args, a)
+        return _emit(tensor_to_text(tensor_from_op(op, trace_form(a))))
+    if args.tensor is None:
+        raise RbxError(f"{args.mode} mode needs --tensor FILE")
+    t = tensor_from_text(_read(args.tensor), a)
+    if args.mode == "sandwich":
+        op = op_from_tensor_sandwich(t)
+    else:
+        op = op_from_tensor_form(t, trace_form(a))
+    return _emit(operator_to_text(op, a.field.zero))
 
 
 def _cmd_gen_system(args) -> int:
-    field = _field_from_p(args)
-    diag = _parse_scalars(field, args.d or "1,1")
-    weight = field.parse(args.weight) if args.weight is not None else field.one
-    spec = JordanSpec.make(field, diag, weight)
-    _emit(gen_system(spec, reduced=args.reduced).format())
-    return 0
+    return _emit(gen_system(_jordan_spec(args, "1,1"), reduced=args.reduced).format())
 
 
 def _cmd_enumerate(args) -> int:
-    a = _load_algebra(args)
     kind = args.kind
-    if kind == "rb":
-        w = a.field.parse(args.weight) if args.weight is not None else a.field.zero
-        found = enumerate_rb_raw(a, w) if args.raw else enumerate_rb(a, w)
-        print(f"enumerate algebra={a.name} weight={w} kind=rb count={len(found)}")
-        for r in found:
-            print(" ".join(str(c) for row in r.matrix.data for c in row))
-        return 0
+    if args.raw and kind == "derivation":
+        raise RbxError("--raw applies to --kind rb and auto only")
+    if args.weight is not None and kind == "auto":
+        raise RbxError("--weight does not apply to --kind auto")
+    a = _load_algebra(args)
+    head = f"enumerate algebra={a.name}"
     if kind == "auto":
         found = enumerate_automorphisms_raw(a) if args.raw else enumerate_automorphisms(a)
-        print(f"enumerate algebra={a.name} kind=auto count={len(found)}")
-        for m in found:
-            print(" ".join(str(c) for row in m.data for c in row))
-        return 0
-    if kind == "derivation":
-        w = a.field.parse(args.weight) if args.weight is not None else a.field.one
-        found = enumerate_derivations(a, w)
-        print(f"enumerate algebra={a.name} weight={w} kind=derivation count={len(found)}")
-        for d in found:
-            print(" ".join(str(c) for row in d.matrix.data for c in row))
-        return 0
-    raise RbxError(f"unknown enumerate kind {kind!r}")
+    else:
+        if kind == "rb":
+            w = _weight(args, a.field, a.field.zero)
+            ops = enumerate_rb_raw(a, w) if args.raw else enumerate_rb(a, w)
+        else:
+            w = _weight(args, a.field, a.field.one)
+            ops = enumerate_derivations(a, w)
+        head += f" weight={w}"
+        found = [op.matrix for op in ops]
+    print(f"{head} kind={kind} count={len(found)}")
+    for m in found:
+        print(" ".join(str(c) for row in m.data for c in row))
+    return 0
 
 
 def _cmd_classify(args) -> int:
     a = _load_algebra(args)
-    w = a.field.parse(args.weight) if args.weight is not None else a.field.zero
+    w = _weight(args, a.field, a.field.zero)
     report = orbit_classify(a, w)
     print(f"classify algebra={a.name} weight={w}")
     for line in report.lines():
@@ -302,6 +215,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    """Run one of the fixed verification claims. --p, if given, must be one
+    of the claim's pinned primes, and --weight its pinned weight; the claim
+    always runs over all of its pinned primes, whatever --p says."""
     claim = args.claim
     if claim is None:
         raise RbxError("--claim ID is required; known: " + " ".join(sorted(CLAIMS)))
@@ -337,17 +253,161 @@ def _cmd_info(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument wiring
+# construct verbs
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--algebra", help="algebra file")
-    p.add_argument("--op", help="operator file")
-    p.add_argument("--weight", help="weight element override")
-    p.add_argument("--p", type=int, help="prime for field construction")
-    p.add_argument("--allow-char2", action="store_true", help="permit characteristic 2")
-    p.add_argument("--format", choices=("human", "machine"), default="human")
+def _verb_split(args) -> int:
+    a = _load_algebra(args)
+    if args.first is None:
+        raise RbxError("split needs --first i,j,... (basis indices of the first part)")
+    w = _weight(args, a.field, a.field.one)
+    chosen = {int(t) for t in args.first.split(",") if t != ""}
+    first = Subspace(a.field, a.dim, [a.basis_vector(i) for i in sorted(chosen)])
+    second = Subspace(
+        a.field, a.dim, [a.basis_vector(i) for i in range(a.dim) if i not in chosen]
+    )
+    return _emit(operator_to_text(split_op(Decomposition(a, first, second), w)))
+
+
+def _verb_phi(args) -> int:
+    a = _load_algebra(args)
+    r = _checked_rb(*_load_operator(args, a))
+    return 1 if r is None else _emit(operator_to_text(apply_phi(r)))
+
+
+def _verb_conjugate(args) -> int:
+    a = _load_algebra(args)
+    op, w = _load_operator(args, a)
+    if args.auto is None:
+        raise RbxError("conjugate needs --auto FILE with the automorphism matrix")
+    psi, _ = operator_from_text(_read(args.auto), a)
+    r = _checked_rb(op, w)
+    return 1 if r is None else _emit(operator_to_text(conjugate(r, psi.matrix)))
+
+
+def _verb_l_e(args) -> int:
+    a = _load_algebra(args)
+    if args.element is None:
+        raise RbxError("l-e needs --element c0,c1,... and --weight LAM")
+    w = _weight(args, a.field, a.field.one)
+    ev = _parse_scalars(a.field, args.element)
+    return _emit(operator_to_text(left_mult_op(a, ev, w), w))
+
+
+def _verb_from_derivation(args) -> int:
+    a = _load_algebra(args)
+    return _emit(operator_to_text(rb_from_inverse_derivation(*_load_operator(args, a))))
+
+
+def _verb_triple_to_rb(args) -> int:
+    # round trip through the (subalgebra, ideal, section) data of a
+    # weight-0 operator and emit the rebuilt operator
+    a = _load_algebra(args)
+    r = _checked_rb(*_load_operator(args, a))
+    return 1 if r is None else _emit(operator_to_text(triple_to_rb(rb_to_triple(r))))
+
+
+def _verb_ex10(args) -> int:
+    return _emit(operator_to_text(block_pair_op(_jordan_spec(args, "1,1,1"))))
+
+
+def _verb_ex11(args) -> int:
+    return _emit(operator_to_text(nonsplit_dim4_op()))
+
+
+def _verb_ex12(args) -> int:
+    return _emit(operator_to_text(split_dim4_op()))
+
+
+def _verb_ex13(args) -> int:
+    spec = _jordan_spec(args, "1,1")
+    if args.alpha is None or args.k is None or args.l is None:
+        raise RbxError("ex13 needs --alpha a0,a1,a2 --k K --l L")
+    f = spec.field
+    r = rank_one_split_op(spec, _parse_scalars(f, args.alpha), f.parse(args.k), f.parse(args.l))
+    return _emit(operator_to_text(r))
+
+
+def _verb_m1_to_m4(args) -> int:
+    return _emit(operator_to_text(weight0_matrix_ops(_field_from_p(args))[args.verb]))
+
+
+def _verb_example14(args) -> int:
+    return _emit(operator_to_text(nonsplit_weight1_op(_field_from_p(args))))
+
+
+def _verb_example16(args) -> int:
+    return _emit(tensor_to_text(corner_pair_tensor(_field_from_p(args))))
+
+
+# ---------------------------------------------------------------------------
+# argument wiring: each handler with the options it reads
+# ---------------------------------------------------------------------------
+
+
+OPTIONS = {
+    "algebra": {"help": "algebra file"},
+    "op": {"help": "operator file"},
+    "weight": {"help": "weight element override"},
+    "p": {"type": int, "help": "prime for field construction"},
+    "allow-char2": {"action": "store_true", "help": "permit characteristic 2"},
+    "format": {"choices": ("human", "machine"), "default": "human"},
+    "mode": {"required": True, "choices": ("sandwich", "form-trace", "to-tensor")},
+    "tensor": {"help": "tensor file"},
+    "d": {"help": "comma-separated form diagonal"},
+    "reduced": {"action": "store_true", "help": "emit the reduced system"},
+    "kind": {"choices": ("rb", "auto", "derivation"), "default": "rb"},
+    "raw": {"action": "store_true", "help": "filter all matrices, no pruning (rb, auto)"},
+    "claim": {"help": "claim identifier"},
+    "first": {"help": "comma-separated basis indices of the first summand"},
+    "auto": {"help": "automorphism matrix file (operator format)"},
+    "element": {"help": "comma-separated coefficients of an element"},
+    "alpha": {"help": "comma-separated isotropic vector for ex13"},
+    "k": {"help": "first multiplier for ex13"},
+    "l": {"help": "second multiplier for ex13"},
+}
+
+# subcommand: (handler, options, help); construct's options follow its verb
+COMMANDS = {
+    "check": (_cmd_check, "algebra op weight allow-char2 format",
+              "verify an operator file against an algebra"),
+    "construct": (None, "", "build named operators and tensors"),
+    "convert": (_cmd_convert, "algebra op allow-char2 mode tensor",
+                "tensor/operator conversions"),
+    "gen-system": (_cmd_gen_system, "p allow-char2 d weight reduced",
+                   "emit the polynomial system for a form diagonal"),
+    "enumerate": (_cmd_enumerate, "algebra allow-char2 weight kind raw",
+                  "exhaustive search over a finite field"),
+    "classify": (_cmd_classify, "algebra allow-char2 weight",
+                 "orbits of the enumerated operators"),
+    "verify": (_cmd_verify, "claim p weight", "run one of the fixed verification claims"),
+    "info": (_cmd_info, "algebra allow-char2", "describe an algebra file"),
+}
+
+# construct verb: (handler, options)
+VERBS = {
+    "split": (_verb_split, "algebra allow-char2 first weight"),
+    "phi": (_verb_phi, "algebra allow-char2 op weight"),
+    "conjugate": (_verb_conjugate, "algebra allow-char2 op weight auto"),
+    "l-e": (_verb_l_e, "algebra allow-char2 element weight"),
+    "from-derivation": (_verb_from_derivation, "algebra allow-char2 op weight"),
+    "triple-to-rb": (_verb_triple_to_rb, "algebra allow-char2 op weight"),
+    "ex10": (_verb_ex10, "p allow-char2 d weight"),
+    "ex11": (_verb_ex11, ""),
+    "ex12": (_verb_ex12, ""),
+    "ex13": (_verb_ex13, "p allow-char2 d weight alpha k l"),
+    **{m: (_verb_m1_to_m4, "p allow-char2") for m in ("m1", "m2", "m3", "m4")},
+    "example14": (_verb_example14, "p allow-char2"),
+    "example16": (_verb_example16, "p allow-char2"),
+}
+
+
+def _add_parser(sub, name: str, func, options: str, **keywords):
+    p = sub.add_parser(name, **keywords)
+    for option in options.split():
+        p.add_argument("--" + option, **OPTIONS[option])
+    p.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,67 +415,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rbx", description="Rota-Baxter operators on structure-constant algebras"
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="verify an operator file against an algebra")
-    _add_common(p)
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("construct", help="build named operators and tensors")
-    p.add_argument(
-        "verb",
-        choices=(
-            "split", "phi", "conjugate", "l-e", "from-derivation", "triple-to-rb",
-            "ex10", "ex11", "ex12", "ex13", "m1", "m2", "m3", "m4",
-            "example14", "example16",
-        ),
-    )
-    _add_common(p)
-    p.add_argument("--first", help="comma-separated basis indices of the first summand")
-    p.add_argument("--auto", help="automorphism matrix file (operator format)")
-    p.add_argument("--element", help="comma-separated coefficients of an element")
-    p.add_argument("--d", help="comma-separated form diagonal")
-    p.add_argument("--alpha", help="comma-separated isotropic vector for ex13")
-    p.add_argument("--k", help="first multiplier for ex13")
-    p.add_argument("--l", help="second multiplier for ex13")
-    p.set_defaults(func=_cmd_construct)
-
-    p = sub.add_parser("convert", help="tensor/operator conversions")
-    _add_common(p)
-    p.add_argument("--mode", required=True, choices=("sandwich", "form-trace", "to-tensor"))
-    p.add_argument("--tensor", help="tensor file")
-    p.set_defaults(func=_cmd_convert)
-
-    p = sub.add_parser("gen-system", help="emit the polynomial system for a form diagonal")
-    _add_common(p)
-    p.add_argument("--d", help="comma-separated form diagonal (default 1,1)")
-    p.add_argument("--reduced", action="store_true", help="emit the reduced system")
-    p.set_defaults(func=_cmd_gen_system)
-
-    p = sub.add_parser("enumerate", help="exhaustive search over a finite field")
-    _add_common(p)
-    p.add_argument("--kind", choices=("rb", "auto", "derivation"), default="rb")
-    p.add_argument("--raw", action="store_true", help="filter all matrices, no pruning")
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("classify", help="orbits of the enumerated operators")
-    _add_common(p)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser(
-        "verify",
-        help="run one of the fixed verification claims",
-        description="Run one of the fixed verification claims. --p, if given, must be "
-        "one of the claim's pinned primes, and --weight its pinned weight; the "
-        "claim always runs over all of its pinned primes, whatever --p says.",
-    )
-    _add_common(p)
-    p.add_argument("--claim", help="claim identifier")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("info", help="describe an algebra file")
-    _add_common(p)
-    p.set_defaults(func=_cmd_info)
-
+    for name, (func, options, help_text) in COMMANDS.items():
+        # a handler's docstring is the description its --help prints
+        description = func.__doc__ if func else None
+        _add_parser(sub, name, func, options, help=help_text, description=description)
+    verbs = sub.choices["construct"].add_subparsers(dest="verb", required=True)
+    for name, (func, options) in VERBS.items():
+        _add_parser(verbs, name, func, options)
     return top
 
 

@@ -516,15 +516,8 @@ def op_from_isotropic_map(a: Algebra, m: Matrix) -> RBOperator:
         raise IsotropicBuildError("unit-image")
     if not (m * m).is_zero():
         raise IsotropicBuildError("square")
-    q = a.quadratic
-    image = Subspace(a.field, a.dim, m.columns())
-    # n vanishes on the span iff it vanishes on a basis and f on basis pairs
-    for idx, u in enumerate(image.basis):
-        if not q.n(u).is_zero():
-            raise IsotropicBuildError("norm")
-        for v in image.basis[idx + 1 :]:
-            if not q.f(u, v).is_zero():
-                raise IsotropicBuildError("norm")
+    if not _norm_vanishes_on(a.quadratic, Subspace(a.field, a.dim, m.columns())):
+        raise IsotropicBuildError("norm")
     return RBOperator(LinearOperator(a, m), 0)
 
 
@@ -559,6 +552,7 @@ def _as_square(a: Algebra, vec: Vector) -> Matrix:
 
 
 def _norm_vanishes_on(q, sub: Subspace) -> bool:
+    # n vanishes on the span iff it vanishes on a basis and f on basis pairs
     for idx, u in enumerate(sub.basis):
         if not q.n(u).is_zero():
             return False

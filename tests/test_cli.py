@@ -1,10 +1,11 @@
+import argparse
 import contextlib
 import io
 import pathlib
 
 import pytest
 
-from rbx.cli import main, rng_from_env
+from rbx.cli import build_parser, main
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
@@ -244,22 +245,64 @@ def test_false_unit_line_exits_2():
         assert err.splitlines()[0] == "error: unit law fails on basis u2"
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        *(f"classify-{alg}-w{w}" for alg in ("gr2_f3", "m2_f3", "k3_f3") for w in (0, 1)),
-        "verify-T6-soundness",
-        "verify-P1-gr2-weight0",
-    ],
-)
+# name -> argv of a command whose stdout is tests/fixtures/golden/<name>.out
+GOLDEN = {
+    **{
+        f"classify-{alg}-w{w}": ("classify", "--algebra", fx(f"{alg}.alg"), "--weight", str(w))
+        for alg in ("gr2_f3", "m2_f3", "k3_f3")
+        for w in (0, 1)
+    },
+    "verify-T6-soundness": ("verify", "--claim", "T6-soundness"),
+    "verify-P1-gr2-weight0": ("verify", "--claim", "P1-gr2-weight0"),
+    "check-ex11": ("check", "--algebra", fx("j4_f5.alg"), "--op", fx("ex11.op")),
+    "check-ex11-machine": ("check", "--algebra", fx("j4_f5.alg"), "--op", fx("ex11.op"),
+                           "--format", "machine"),
+    "construct-ex10": ("construct", "ex10", "--p", "5", "--d", "1,1,1", "--weight", "1"),
+    "construct-ex11": ("construct", "ex11"),
+    "construct-ex12": ("construct", "ex12"),
+    "construct-ex13": ("construct", "ex13", "--p", "5", "--d", "1,1", "--alpha", "1,1,0",
+                       "--k", "4", "--l", "0", "--weight", "1"),
+    **{
+        f"construct-{v}": ("construct", v)
+        for v in ("m1", "m2", "m3", "m4", "example14", "example16")
+    },
+    "construct-split": ("construct", "split", "--algebra", fx("m2_q.alg"), "--first", "0,1",
+                        "--weight", "1"),
+    "construct-split-tp4": ("construct", "split", "--algebra", fx("tp4_q.alg"), "--first", "0,1",
+                            "--weight", "1"),
+    "construct-phi": ("construct", "phi", "--algebra", fx("m2_q.alg"), "--op", fx("m1_q.op")),
+    "construct-conjugate": ("construct", "conjugate", "--algebra", fx("m2_q.alg"),
+                            "--op", fx("m2_q.op"), "--auto", fx("swap_auto_m2q.op")),
+    "construct-triple-to-rb": ("construct", "triple-to-rb", "--algebra", fx("m2_q.alg"),
+                               "--op", fx("m3_q.op")),
+    "construct-l-e": ("construct", "l-e", "--algebra", fx("m2_q.alg"), "--element", "1,0,0,0",
+                      "--weight", "-1"),
+    "construct-from-derivation": ("construct", "from-derivation", "--algebra", fx("m2_q.alg"),
+                                  "--op", fx("identity_m2q.op"), "--weight", "-1"),
+    "convert-to-tensor": ("convert", "--mode", "to-tensor", "--algebra", fx("m2_q.alg"),
+                          "--op", fx("m1_q.op")),
+    "convert-form-trace": ("convert", "--mode", "form-trace", "--algebra", fx("m4_q.alg"),
+                           "--tensor", fx("example16_q.tensor")),
+    "convert-sandwich": ("convert", "--mode", "sandwich", "--algebra", fx("m4_q.alg"),
+                         "--tensor", fx("example16_q.tensor")),
+    "gen-system": ("gen-system", "--p", "5", "--d", "1,1", "--weight", "1"),
+    "gen-system-reduced": ("gen-system", "--p", "5", "--d", "1,1", "--weight", "1", "--reduced"),
+    "enumerate-k3_f3-rb-w1": ("enumerate", "--algebra", fx("k3_f3.alg"), "--weight", "1"),
+    "enumerate-k3_f3-derivation-w1": ("enumerate", "--algebra", fx("k3_f3.alg"),
+                                      "--kind", "derivation", "--weight", "1"),
+    "enumerate-k3_f3-auto": ("enumerate", "--algebra", fx("k3_f3.alg"), "--kind", "auto"),
+    "enumerate-k3_f3-rb-w1-raw": ("enumerate", "--algebra", fx("k3_f3.alg"), "--weight", "1",
+                                  "--raw"),
+    "enumerate-k3_f3-auto-raw": ("enumerate", "--algebra", fx("k3_f3.alg"), "--kind", "auto",
+                                 "--raw"),
+    "info-k3_f5": ("info", "--algebra", fx("k3_f5.alg")),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
 def test_golden_output(name):
-    # stdout as recorded before classification ran its own search; all exit 0
-    command, rest = name.split("-", 1)
-    if command == "classify":
-        alg, w = rest.rsplit("-w", 1)
-        code, out, _ = run("classify", "--algebra", fx(f"{alg}.alg"), "--weight", w)
-    else:
-        code, out, _ = run("verify", "--claim", rest)
+    # stdout as recorded before the change that added each file; all exit 0
+    code, out, _ = run(*GOLDEN[name])
     assert code == 0
     assert out == (FIXTURES / "golden" / f"{name}.out").read_text(encoding="utf-8")
 
@@ -288,11 +331,106 @@ def test_info_output():
     )
 
 
-def test_rng_from_env_default(monkeypatch):
-    monkeypatch.delenv("RBX_SEED", raising=False)
-    a = rng_from_env().random()
-    b = rng_from_env().random()
-    assert a == b
-    monkeypatch.setenv("RBX_SEED", "99")
-    c = rng_from_env().random()
-    assert c != a
+# the options of each subcommand and construct verb: exactly those its handler reads
+ACCEPTED = {
+    "check": "algebra op weight allow-char2 format",
+    "convert": "algebra op allow-char2 mode tensor",
+    "gen-system": "p allow-char2 d weight reduced",
+    "enumerate": "algebra allow-char2 weight kind raw",
+    "classify": "algebra allow-char2 weight",
+    "verify": "claim p weight",
+    "info": "algebra allow-char2",
+    "construct ex11": "",
+    "construct ex12": "",
+    "construct ex10": "p allow-char2 d weight",
+    "construct ex13": "p allow-char2 d weight alpha k l",
+    **{
+        f"construct {v}": "p allow-char2"
+        for v in ("m1", "m2", "m3", "m4", "example14", "example16")
+    },
+    "construct split": "algebra allow-char2 first weight",
+    **{
+        f"construct {v}": "algebra allow-char2 op weight"
+        for v in ("phi", "from-derivation", "triple-to-rb")
+    },
+    "construct conjugate": "algebra allow-char2 op weight auto",
+    "construct l-e": "algebra allow-char2 element weight",
+}
+
+
+def _accepted_options(parser, prefix=()) -> dict:
+    options = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {" ".join(prefix): options}
+    assert not options, prefix
+    found = {}
+    for name, sub in subs[0].choices.items():
+        found.update(_accepted_options(sub, (*prefix, name)))
+    return found
+
+
+def test_each_command_accepts_only_the_options_it_reads():
+    accepted = _accepted_options(build_parser())
+    assert accepted == {k: {"--" + o for o in v.split()} for k, v in ACCEPTED.items()}
+    assert sum(len(v) for v in accepted.values()) == 76
+
+
+# one option per subcommand and verb that was once accepted and ignored
+IGNORED = {
+    "check": (*GOLDEN["check-ex11"], "--p", "5"),
+    "convert": (*GOLDEN["convert-to-tensor"], "--weight", "0"),
+    "gen-system": (*GOLDEN["gen-system"], "--algebra", fx("m2_q.alg")),
+    "enumerate": (*GOLDEN["enumerate-k3_f3-rb-w1"], "--op", fx("ex11.op")),
+    "classify": (*GOLDEN["classify-m2_f3-w0"], "--format", "machine"),
+    "verify": (*GOLDEN["verify-T6-soundness"], "--allow-char2"),
+    "info": (*GOLDEN["info-k3_f5"], "--weight", "1"),
+    "construct-ex11": ("construct", "ex11", "--p", "2"),
+    "construct-ex12": ("construct", "ex12", "--weight", "1"),
+    "construct-ex10": (*GOLDEN["construct-ex10"], "--alpha", "1,1,0"),
+    "construct-m1": ("construct", "m1", "--weight", "1"),
+    **{
+        f"construct-{v}": (*GOLDEN[f"construct-{v}"], "--format", "machine")
+        for v in (
+            "ex13", "m2", "m3", "m4", "example14", "example16", "split", "phi", "conjugate",
+            "triple-to-rb", "l-e", "from-derivation",
+        )
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(IGNORED))
+def test_ignored_option_is_a_usage_error(name, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(list(IGNORED[name]))
+    assert e.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+ENUMERATE_K3 = ("enumerate", "--algebra", fx("k3_f3.alg"))
+CONVERT_M4 = ("convert", "--algebra", fx("m4_q.alg"))
+TENSOR = ("--tensor", fx("example16_q.tensor"))
+OP = ("--op", fx("m1_q.op"))
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ((*ENUMERATE_K3, "--kind", "derivation", "--raw", "--weight", "1"),
+         "--raw applies to --kind rb and auto only"),
+        ((*ENUMERATE_K3, "--kind", "auto", "--weight", "1"),
+         "--weight does not apply to --kind auto"),
+        ((*CONVERT_M4, "--mode", "sandwich", *TENSOR, *OP),
+         "--op does not apply to --mode sandwich"),
+        ((*CONVERT_M4, "--mode", "form-trace", *TENSOR, *OP),
+         "--op does not apply to --mode form-trace"),
+        ((*CONVERT_M4, "--mode", "to-tensor", *OP, *TENSOR),
+         "--tensor does not apply to --mode to-tensor"),
+    ],
+    ids=["raw-derivation", "weight-auto", "op-sandwich", "op-form-trace", "tensor-to-tensor"],
+)
+def test_option_the_kind_or_mode_ignores_exits_2(argv, message):
+    code, out, err = run(*argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[0] == f"error: {message}"

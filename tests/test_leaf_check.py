@@ -303,10 +303,11 @@ def test_leaf_found_twice_raises(monkeypatch):
 @pytest.mark.parametrize("kind", ["rb", "auto", "derivation"])
 def test_rejected_leaf_exits_2(monkeypatch, kind):
     corrupt_search(monkeypatch, BAD)
+    weight = [] if kind == "auto" else ["--weight", "1"]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(
-            ["enumerate", "--algebra", str(FIXTURES / "k3_f3.alg"), "--kind", kind, "--weight", "1"]
+            ["enumerate", "--algebra", str(FIXTURES / "k3_f3.alg"), "--kind", kind, *weight]
         )
     assert code == 2
     assert out.getvalue() == ""

@@ -28,7 +28,7 @@ from rbx.orbits import (
     pack_operator,
     verify_claim,
 )
-from rbx.rb import weight0_matrix_ops
+from rbx.rb import LinearOperator, weight0_matrix_ops
 from rbx.search import enumerate_automorphisms, enumerate_rb
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
@@ -267,6 +267,13 @@ def test_t6_orbit_count_by_burnside():
     assert fixed % order == 0
     assert fixed // order == 5
     assert "total=89 orbits=5" in verify_claim("T6-soundness").lines
+
+
+def test_soundness_fault_finds_invertible_image():
+    # e11 -> e12 + e21, the rest to 0: the image holds [[0, 1], [1, 0]]
+    a = matrix_algebra(F3, 2)
+    op = LinearOperator(a, Matrix(a.field, [[0] * 4, [1, 0, 0, 0], [1, 0, 0, 0], [0] * 4]))
+    assert orbits._soundness_fault(a, [op]) == "FAIL: invertible matrix inside an image"
 
 
 def test_representatives_checked_once(monkeypatch):
