@@ -252,8 +252,11 @@ GOLDEN = {
         for alg in ("gr2_f3", "m2_f3", "k3_f3")
         for w in (0, 1)
     },
-    "verify-T6-soundness": ("verify", "--claim", "T6-soundness"),
-    "verify-P1-gr2-weight0": ("verify", "--claim", "P1-gr2-weight0"),
+    **{
+        f"verify-{c}": ("verify", "--claim", c)
+        for c in ("T2-even-splitting", "T4-gr2", "T5-k3", "T6-soundness", "P1-gr2-weight0",
+                  "P2-k3-weight0", "C5-no-invertible-derivations")
+    },
     "check-ex11": ("check", "--algebra", fx("j4_f5.alg"), "--op", fx("ex11.op")),
     "check-ex11-machine": ("check", "--algebra", fx("j4_f5.alg"), "--op", fx("ex11.op"),
                            "--format", "machine"),
@@ -296,6 +299,12 @@ GOLDEN = {
     "enumerate-k3_f3-auto-raw": ("enumerate", "--algebra", fx("k3_f3.alg"), "--kind", "auto",
                                  "--raw"),
     "info-k3_f5": ("info", "--algebra", fx("k3_f5.alg")),
+    # noncommutative at w != 0; commutative with the split search; the split
+    # search with scalars
+    "enumerate-sl2_f7-derivation-w1": ("enumerate", "--algebra", fx("sl2_f7.alg"),
+                                       "--kind", "derivation", "--weight", "1"),
+    "enumerate-j3_f5-rb-w1": ("enumerate", "--algebra", fx("j3_f5.alg"), "--weight", "1"),
+    "enumerate-gr2_f3-rb-w0": ("enumerate", "--algebra", fx("gr2_f3.alg"), "--weight", "0"),
 }
 
 
