@@ -10,6 +10,7 @@ usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -257,12 +258,18 @@ def _cmd_info(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _basis_index(token: str, dim: int) -> int:
+    if token.strip().isdecimal() and int(token) < dim:
+        return int(token)
+    raise RbxError(f"--first {token!r} is not a basis index in 0..{dim - 1}")
+
+
 def _verb_split(args) -> int:
     a = _load_algebra(args)
     if args.first is None:
         raise RbxError("split needs --first i,j,... (basis indices of the first part)")
     w = _weight(args, a.field, a.field.one)
-    chosen = {int(t) for t in args.first.split(",") if t != ""}
+    chosen = {_basis_index(t, a.dim) for t in args.first.split(",") if t != ""}
     first = Subspace(a.field, a.dim, [a.basis_vector(i) for i in sorted(chosen)])
     second = Subspace(
         a.field, a.dim, [a.basis_vector(i) for i in range(a.dim) if i not in chosen]
@@ -410,7 +417,9 @@ def _add_parser(sub, name: str, func, options: str, **keywords):
     p.set_defaults(func=func)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand and verb, built once per process."""
     top = argparse.ArgumentParser(
         prog="rbx", description="Rota-Baxter operators on structure-constant algebras"
     )

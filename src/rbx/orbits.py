@@ -168,41 +168,30 @@ class ClaimReport:
         return "\n".join(body)
 
 
-def _claim_even_splitting(claim: Claim) -> tuple[bool, list[str]]:
+def _claim_even_splitting(p: int, weight: int) -> tuple[bool, list[str]]:
     # even form-space dimension forces splitting for nonzero weight, and the
     # unit is killed by the operator or by its phi image
-    ok = True
-    lines = []
-    for p in claim.primes:
-        a = jordan_form(PrimeField(p), [1, 1])
-        ops = enumerate_rb(a, claim.weight)
-        split = all(is_splitting(r) for r in ops)
-        unit_killed = all(
-            vec_is_zero(r.matrix.apply(a.unit))
-            or vec_is_zero(apply_phi(r).matrix.apply(a.unit))
-            for r in ops
-        )
-        ok = ok and split and unit_killed
-        lines.append(
-            f"J(1,1) over F{p} weight {claim.weight}: {len(ops)} operators, "
-            f"splitting={'all' if split else 'NOT all'}, "
-            f"unit killed up to phi={'all' if unit_killed else 'NOT all'}"
-        )
-    return ok, lines
+    a = jordan_form(PrimeField(p), [1, 1])
+    ops = enumerate_rb(a, weight)
+    split = all(is_splitting(r) for r in ops)
+    unit_killed = all(
+        vec_is_zero(r.matrix.apply(a.unit)) or vec_is_zero(apply_phi(r).matrix.apply(a.unit))
+        for r in ops
+    )
+    return split and unit_killed, [
+        f"J(1,1) over F{p} weight {weight}: {len(ops)} operators, "
+        f"splitting={'all' if split else 'NOT all'}, "
+        f"unit killed up to phi={'all' if unit_killed else 'NOT all'}"
+    ]
 
 
-def _claim_all_splitting(label: str, build, claim: Claim) -> tuple[bool, list[str]]:
-    ok = True
-    lines = []
-    for p in claim.primes:
-        ops = enumerate_rb(build(PrimeField(p)), claim.weight)
-        split = all(is_splitting(r) for r in ops)
-        ok = ok and split
-        lines.append(
-            f"{label} over F{p} weight {claim.weight}: {len(ops)} operators, "
-            f"splitting={'all' if split else 'NOT all'}"
-        )
-    return ok, lines
+def _claim_all_splitting(label: str, build, p: int, weight: int) -> tuple[bool, list[str]]:
+    ops = enumerate_rb(build(PrimeField(p)), weight)
+    split = all(is_splitting(r) for r in ops)
+    return split, [
+        f"{label} over F{p} weight {weight}: {len(ops)} operators, "
+        f"splitting={'all' if split else 'NOT all'}"
+    ]
 
 
 def _soundness_fault(a: Algebra, ops) -> str | None:
@@ -218,31 +207,30 @@ def _soundness_fault(a: Algebra, ops) -> str | None:
     return None
 
 
-def _claim_m2_weight0(claim: Claim) -> tuple[bool, list[str]]:
-    ok = True
-    lines = []
-    for p in claim.primes:
-        field = PrimeField(p)
-        a = matrix_algebra(field, 2)
-        report = orbit_classify(a, claim.weight)
-        lines.append(f"M2 over F{p} weight {claim.weight}: {len(report.operators)} operators")
-        fault = _soundness_fault(a, report.operators)
-        ok = ok and fault is None
-        lines.append(fault or "every image is unit-free and singular, kernels have dim >= 2")
-        lines.extend(report.lines())
-        placements = {
-            name: report.orbit_of(pack_operator(op))
-            for name, op in sorted(weight0_matrix_ops(field).items())
-        }
-        if None in placements.values():
-            ok = False
-            lines.append("FAIL: a reference operator is missing from the enumeration")
-        elif len(set(placements.values())) != len(placements):
-            ok = False
-            lines.append("FAIL: reference operators share an orbit")
-        else:
-            placed = " ".join(f"{k}->orbit {v}" for k, v in sorted(placements.items()))
-            lines.append(f"reference operators sit in distinct orbits: {placed}")
+def _claim_m2_weight0(p: int, weight: int) -> tuple[bool, list[str]]:
+    field = PrimeField(p)
+    a = matrix_algebra(field, 2)
+    report = orbit_classify(a, weight)
+    fault = _soundness_fault(a, report.operators)
+    ok = fault is None
+    lines = [
+        f"M2 over F{p} weight {weight}: {len(report.operators)} operators",
+        fault or "every image is unit-free and singular, kernels have dim >= 2",
+        *report.lines(),
+    ]
+    placements = {
+        name: report.orbit_of(pack_operator(op))
+        for name, op in sorted(weight0_matrix_ops(field).items())
+    }
+    if None in placements.values():
+        ok = False
+        lines.append("FAIL: a reference operator is missing from the enumeration")
+    elif len(set(placements.values())) != len(placements):
+        ok = False
+        lines.append("FAIL: reference operators share an orbit")
+    else:
+        placed = " ".join(f"{k}->orbit {v}" for k, v in sorted(placements.items()))
+        lines.append(f"reference operators sit in distinct orbits: {placed}")
     return ok, lines
 
 
@@ -270,59 +258,52 @@ def _k3_tail_patterns(p: int) -> list:
     return [((0, 0, c0), (0, 0, c1), (0, 0, 0)) for c0, c1 in itertools.product(range(p), repeat=2)]
 
 
-def _claim_pattern_closure(label: str, build, patterns, claim: Claim) -> tuple[bool, list[str]]:
+def _claim_pattern_closure(
+    label: str, build, patterns, p: int, weight: int
+) -> tuple[bool, list[str]]:
     # every operator of the weight is conjugate to a pattern: the claim holds
     # when the pattern conjugates are exactly the enumerated operators, so
     # every operator is reached, and nothing else is
-    ok = True
-    lines = []
-    for p in claim.primes:
-        a = build(PrimeField(p))
-        ia = IntAlgebra(a)
-        w = coerce_weight(a.field, claim.weight)
-        autos = _automorphisms(ia)
-        keys = {pack_columns(cols, ia.dim) for cols in _rb_leaves(ia, w, _rb_moves(a, w, autos))}
-        closure = _closure_of_patterns(p, autos, patterns(p))
-        lines.append(
-            f"{label} over F{p} weight {claim.weight}: {len(keys)} operators, "
-            f"{len(closure)} pattern conjugates, outside the closure: {len(keys - closure)}"
-        )
-        extra = len(closure - keys)
-        if extra:
-            lines.append(f"FAIL: {extra} pattern conjugates are not operators")
-        ok = ok and closure == keys
-    return ok, lines
+    a = build(PrimeField(p))
+    ia = IntAlgebra(a)
+    w = coerce_weight(a.field, weight)
+    autos = _automorphisms(ia)
+    keys = {pack_columns(cols, ia.dim) for cols in _rb_leaves(ia, w, _rb_moves(a, w, autos))}
+    closure = _closure_of_patterns(p, autos, patterns(p))
+    lines = [
+        f"{label} over F{p} weight {weight}: {len(keys)} operators, "
+        f"{len(closure)} pattern conjugates, outside the closure: {len(keys - closure)}"
+    ]
+    extra = len(closure - keys)
+    if extra:
+        lines.append(f"FAIL: {extra} pattern conjugates are not operators")
+    return closure == keys, lines
 
 
-def _claim_gr2_derivations(claim: Claim) -> tuple[bool, list[str]]:
-    ok = True
-    lines = []
-    for p in claim.primes:
-        field = PrimeField(p)
-        a = grassmann2(field)
-        ders = enumerate_derivations(a, claim.weight)
-        invertible = [d for d in ders if d.matrix.rank() == a.dim]
-        neg_id = Matrix.identity(field, a.dim).scale(-1)
-        only = len(invertible) == 1 and invertible[0].matrix == neg_id
-        ok = ok and only
-        lines.append(
-            f"Gr2 over F{p} weight {claim.weight}: {len(ders)} derivations, "
-            f"{len(invertible)} invertible, minus-identity only: {only}"
-        )
-    return ok, lines
+def _claim_gr2_derivations(p: int, weight: int) -> tuple[bool, list[str]]:
+    field = PrimeField(p)
+    a = grassmann2(field)
+    ders = enumerate_derivations(a, weight)
+    invertible = [d for d in ders if d.matrix.rank() == a.dim]
+    neg_id = Matrix.identity(field, a.dim).scale(-1)
+    only = len(invertible) == 1 and invertible[0].matrix == neg_id
+    return only, [
+        f"Gr2 over F{p} weight {weight}: {len(ders)} derivations, "
+        f"{len(invertible)} invertible, minus-identity only: {only}"
+    ]
 
 
 @dataclass(frozen=True)
 class Claim:
     """One claim of the paper: the primes and weight it quantifies over,
-    the phrase `rbx verify` prints when it holds, and run(claim), which
-    checks it over every prime at that weight."""
+    the phrase `rbx verify` prints when it holds, and run(p, weight), which
+    checks it over one prime at that weight."""
 
     id: str
     primes: tuple
     weight: int
     phrase: str
-    run: Callable[[Claim], tuple[bool, list[str]]]
+    run: Callable[[int, int], tuple[bool, list[str]]]
 
 
 CLAIMS = {
@@ -352,5 +333,6 @@ def verify_claim(claim: str) -> ClaimReport:
     if claim not in CLAIMS:
         raise KeyError(f"unknown claim {claim!r}")
     row = CLAIMS[claim]
-    ok, lines = row.run(row)
-    return ClaimReport(claim, ok, tuple(lines))
+    runs = [row.run(p, row.weight) for p in row.primes]
+    lines = tuple(ln for _, run_lines in runs for ln in run_lines)
+    return ClaimReport(claim, all(ok for ok, _ in runs), lines)

@@ -2,17 +2,20 @@
 
 One backtracking engine serves all three problems.  A candidate matrix is
 built column by column over a prime field; every time a basis pair (i, j)
-has both its columns fixed, the defining identity for that pair turns into
-a linear equation
+has both its columns fixed, the defining identity for that pair becomes a
+relation v |-> u, "the map sends v to u", with both vectors known:
 
-    sum_m coeffs[m] * column_m = rhs
+    Rota-Baxter R   R(b_i)b_j + b_iR(b_j) + w b_ib_j  |->  R(b_i)R(b_j)
+    automorphism    b_ib_j  |->  psi(b_i)psi(b_j)
+    derivation d    b_ib_j  |->  d(b_i)b_j + b_id(b_j) + w d(b_i)d(b_j)
 
-whose coefficient vector and right side are known.  Equations whose unknown
-support is empty are consistency checks (prune on failure); support of size
-one forces the next column instead of enumerating it.  Columns are assigned
-in index order and candidate values are tried in lexicographic order, so
-the result list is deterministic; a raw enumerator with none of this
-machinery double-checks the pruned one on small spaces.
+Each is stated once, by _rb_pair, _auto_pair and _derivation_pair.  The
+relation is the linear equation sum_m v[m] * column_m = u.  Equations whose
+unknown support is empty are consistency checks (prune on failure); support
+of size one forces the next column instead of enumerating it.  Columns are
+assigned in index order and candidate values are tried in lexicographic
+order, so the result list is deterministic; a raw enumerator with none of
+this machinery double-checks the pruned one on small spaces.
 
 Rota-Baxter operators are searched modulo a group when the first basis
 vector e_0 is a two-sided identity of the structure constants, declared as
@@ -30,7 +33,7 @@ e_0 take the plain search.
 
 All arithmetic here runs on plain integer residues.  Each leaf the search
 reaches, and each image of one, is checked once, on residues, against the
-pair equation of every ordered basis pair (_leaf_ok); a leaf that fails,
+relation of every ordered basis pair (_leaf_ok); a leaf that fails,
 an image whose R(e_0) is not the value its move was chosen for, or a
 result found twice is an internal error and raises LeafRejectedError.
 Only then do matrices become FieldElement objects, through constructors
@@ -40,6 +43,7 @@ that do not check them again.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from operator import mul
 
 from .algebras import Algebra, check_automorphism
@@ -69,15 +73,10 @@ class IntAlgebra:
             for i in range(a.dim)
         )
         self.tvec = tuple(
-            tuple(self._table_vector(i, j) for j in range(a.dim)) for i in range(a.dim)
+            tuple(tuple(c.value for c in a.table_vector(i, j)) for j in range(a.dim))
+            for i in range(a.dim)
         )
         self.commutative = a.is_commutative()
-
-    def _table_vector(self, i: int, j: int) -> tuple:
-        out = [0] * self.dim
-        for k, c in self.table[i][j]:
-            out[k] = c
-        return tuple(out)
 
     def product(self, x, y) -> list:
         p = self.p
@@ -92,75 +91,42 @@ class IntAlgebra:
                             out[k] = (out[k] + c * s) % p
         return out
 
+    def leibniz(self, i: int, j: int, x, y) -> list:
+        """x b_j + b_i y, for x and y the images of b_i and b_j.
 
-def _basis_int(dim: int) -> list:
-    return [tuple(1 if k == j else 0 for k in range(dim)) for j in range(dim)]
-
-
-class _RBEmitter:
-    """R(b_i) R(b_j) = R( R(b_i) b_j + b_i R(b_j) + w b_i b_j )."""
-
-    def __init__(self, ia: IntAlgebra, w: int):
-        self.ia = ia
-        self.w = w
-        self.basis = _basis_int(ia.dim)
-
-    def pair_equation(self, cols, i, j):
-        ia = self.ia
-        p, w = ia.p, self.w
-        v = [
-            (x + y + w * z) % p
-            for x, y, z in zip(
-                ia.product(cols[i], self.basis[j]),
-                ia.product(self.basis[i], cols[j]),
-                ia.tvec[i][j],
-            )
-        ]
-        return v, ia.product(cols[i], cols[j])
+        Reads the column of b_j and the row of b_i straight off the table.
+        """
+        out = [0] * self.dim
+        for m, xm in enumerate(x):
+            if xm:
+                for k, s in self.table[m][j]:
+                    out[k] += xm * s
+        row = self.table[i]
+        for m, ym in enumerate(y):
+            if ym:
+                for k, s in row[m]:
+                    out[k] += ym * s
+        return [c % self.p for c in out]
 
 
-class _AutoEmitter:
-    """psi(b_i) psi(b_j) = psi(b_i b_j)."""
-
-    def __init__(self, ia: IntAlgebra):
-        self.ia = ia
-
-    def pair_equation(self, cols, i, j):
-        return list(self.ia.tvec[i][j]), self.ia.product(cols[i], cols[j])
+def _rb_pair(ia: IntAlgebra, w: int, cols, i: int, j: int):
+    """R sends v = R(b_i)b_j + b_iR(b_j) + w b_ib_j to u = R(b_i)R(b_j)."""
+    p = ia.p
+    v = [(x + w * z) % p for x, z in zip(ia.leibniz(i, j, cols[i], cols[j]), ia.tvec[i][j])]
+    return v, ia.product(cols[i], cols[j])
 
 
-class _DerivationEmitter:
-    """d(b_i b_j) = d(b_i) b_j + b_i d(b_j) + w d(b_i) d(b_j)."""
-
-    def __init__(self, ia: IntAlgebra, w: int):
-        self.ia = ia
-        self.w = w
-        self.basis = _basis_int(ia.dim)
-
-    def pair_equation(self, cols, i, j):
-        ia = self.ia
-        p, w = ia.p, self.w
-        rhs = [
-            (x + y) % p
-            for x, y in zip(ia.product(cols[i], self.basis[j]), ia.product(self.basis[i], cols[j]))
-        ]
-        if w:
-            rhs = [(r + w * z) % p for r, z in zip(rhs, ia.product(cols[i], cols[j]))]
-        return list(ia.tvec[i][j]), rhs
+def _auto_pair(ia: IntAlgebra, cols, i: int, j: int):
+    """psi sends v = b_ib_j to u = psi(b_i)psi(b_j)."""
+    return ia.tvec[i][j], ia.product(cols[i], cols[j])
 
 
-def _column_pool(p: int, dim: int, positions=None) -> list:
-    """All column vectors in lexicographic order, zero outside positions."""
-    if positions is None:
-        positions = range(dim)
-    positions = list(positions)
-    pool = []
-    for combo in itertools.product(range(p), repeat=len(positions)):
-        col = [0] * dim
-        for pos, val in zip(positions, combo):
-            col[pos] = val
-        pool.append(tuple(col))
-    return pool
+def _derivation_pair(ia: IntAlgebra, w: int, cols, i: int, j: int):
+    """d sends v = b_ib_j to u = d(b_i)b_j + b_id(b_j) + w d(b_i)d(b_j)."""
+    u = ia.leibniz(i, j, cols[i], cols[j])
+    if w:
+        u = [(x + w * z) % ia.p for x, z in zip(u, ia.product(cols[i], cols[j]))]
+    return ia.tvec[i][j], u
 
 
 def _new_pairs(dim: int, commutative: bool):
@@ -177,8 +143,8 @@ def _new_pairs(dim: int, commutative: bool):
     return out
 
 
-def _search(ia: IntAlgebra, emitter, pools) -> list:
-    """All full column assignments surviving every pair equation."""
+def _search(ia: IntAlgebra, pair, pools) -> list:
+    """All full column assignments meeting the relation of every basis pair."""
     pair_plan = _new_pairs(ia.dim, ia.commutative)
     pool_sets = [frozenset(pool) for pool in pools]
     dim, p = ia.dim, ia.p
@@ -215,10 +181,10 @@ def _search(ia: IntAlgebra, emitter, pools) -> list:
                 continue
             cols[c] = col
             for i, j in pair_plan[c]:
-                coeffs, rhs = emitter.pair_equation(cols, i, j)
-                res = list(rhs)
+                v, u = pair(cols, i, j)
+                res = list(u)
                 sup = {}
-                for m, cm in enumerate(coeffs):
+                for m, cm in enumerate(v):
                     if not cm:
                         continue
                     if m <= c:
@@ -253,30 +219,32 @@ def _columns_to_matrix(field, cols, dim: int) -> Matrix:
     return Matrix(field, [[field.element(cols[j][i]) for j in range(dim)] for i in range(dim)])
 
 
-def _full_pools(ia: IntAlgebra, graded: bool):
-    a = ia.algebra
-    pools = []
-    for j in range(ia.dim):
-        if graded and a.grading is not None:
-            positions = [k for k in range(ia.dim) if a.grading[k] == a.grading[j]]
-        else:
-            positions = None
-        pools.append(_column_pool(ia.p, ia.dim, positions))
-    return pools
+def _full_pools(ia: IntAlgebra, graded: bool) -> list:
+    """Per column, every column vector in lexicographic order; when graded,
+    only those inside the grade of their basis vector."""
+    space = list(itertools.product(range(ia.p), repeat=ia.dim))
+    grading = ia.algebra.grading if graded else None
+    if grading is None:
+        return [space] * ia.dim
+    return [
+        [col for col in space if all(not x or grading[k] == g for k, x in enumerate(col))]
+        for g in grading
+    ]
 
 
-def _leaf_ok(ia: IntAlgebra, emitter, cols) -> bool:
-    """Whether a full column assignment meets the emitter's identity.
+def _leaf_ok(ia: IntAlgebra, pair, cols) -> bool:
+    """Whether a full column assignment meets the identity of pair.
 
-    Tests sum_m coeffs[m] * cols[m] == rhs (mod p) on every ordered basis
-    pair (i, j), the pairs the FieldElement checkers test.
+    Tests that the map sends v to u, sum_m v[m] * cols[m] == u (mod p), on
+    every ordered basis pair (i, j), the pairs the FieldElement checkers
+    test.
     """
     dim, p = ia.dim, ia.p
     for i in range(dim):
         for j in range(dim):
-            coeffs, rhs = emitter.pair_equation(cols, i, j)
-            acc = rhs
-            for m, cm in enumerate(coeffs):
+            v, u = pair(cols, i, j)
+            acc = u
+            for m, cm in enumerate(v):
                 if cm:
                     acc = [a - cm * x for a, x in zip(acc, cols[m])]
             if any(a % p for a in acc):
@@ -364,8 +332,8 @@ def _rb_moves(a: Algebra, w, autos: list) -> list:
 
 def _unit_at_e0(ia: IntAlgebra) -> bool:
     """Whether e_0 multiplies as a two-sided identity, declared or not."""
-    basis = _basis_int(ia.dim)
-    return all(ia.tvec[0][j] == ia.tvec[j][0] == basis[j] for j in range(ia.dim))
+    identity = tuple(tuple(int(k == j) for k in range(ia.dim)) for j in range(ia.dim))
+    return ia.tvec[0] == identity == tuple(row[0] for row in ia.tvec)
 
 
 def _conjugate(p: int, move: tuple, cols: tuple) -> tuple:
@@ -416,7 +384,7 @@ def _images(ia: IntAlgebra, found: list, cosets: dict) -> list:
     return out
 
 
-def _checked_leaves(ia: IntAlgebra, emitter, graded: bool, moves=()) -> list:
+def _checked_leaves(ia: IntAlgebra, pair, graded: bool, moves=()) -> list:
     """Search, sort row-major, and check every leaf once on residues.
 
     With moves that fix e_0, column 0 runs over one representative per
@@ -427,7 +395,7 @@ def _checked_leaves(ia: IntAlgebra, emitter, graded: bool, moves=()) -> list:
     if moves:
         cosets = _cosets(ia.p, pools[0], moves)
         pools[0] = list(cosets)
-    found = _search(ia, emitter, pools)
+    found = _search(ia, pair, pools)
     if moves:
         found += _images(ia, found, cosets)
     found.sort(key=lambda cols: pack_columns(cols, ia.dim))
@@ -437,7 +405,7 @@ def _checked_leaves(ia: IntAlgebra, emitter, graded: bool, moves=()) -> list:
             raise LeafRejectedError(
                 f"search leaf {pack_columns(cols, ia.dim)} on {ia.algebra.name} is found twice"
             )
-        if not _leaf_ok(ia, emitter, cols) or (graded and not _keeps_grading(ia, cols)):
+        if not _leaf_ok(ia, pair, cols) or (graded and not _keeps_grading(ia, cols)):
             raise LeafRejectedError(
                 f"search leaf {pack_columns(cols, ia.dim)} on {ia.algebra.name} "
                 "fails its leaf check"
@@ -452,7 +420,7 @@ def _rb_leaves(ia: IntAlgebra, w, moves) -> list:
     moves (_rb_moves, or ()) split the search only when e_0 is the unit.
     """
     split = moves if _unit_at_e0(ia) else ()
-    return _checked_leaves(ia, _RBEmitter(ia, w.value), graded=False, moves=split)
+    return _checked_leaves(ia, partial(_rb_pair, ia, w.value), graded=False, moves=split)
 
 
 def _rb_operators(a: Algebra, w, found) -> list[RBOperator]:
@@ -480,7 +448,7 @@ def _automorphisms(ia: IntAlgebra) -> list:
     These residue columns are the automorphisms rbx works with; the search
     encodes multiplicativity only, and singular leaves are dropped.
     """
-    found = _checked_leaves(ia, _AutoEmitter(ia), graded=True)
+    found = _checked_leaves(ia, partial(_auto_pair, ia), graded=True)
     return [cols for cols in found if _inverse_mod_p(cols, ia.p) is not None]
 
 
@@ -493,7 +461,7 @@ def enumerate_derivations(a: Algebra, weight) -> list[LinearOperator]:
     """All maps obeying the weighted derivation identity, sorted row-major."""
     ia = IntAlgebra(a)
     w = coerce_weight(a.field, weight)
-    found = _checked_leaves(ia, _DerivationEmitter(ia, w.value), graded=False)
+    found = _checked_leaves(ia, partial(_derivation_pair, ia, w.value), graded=False)
     return [LinearOperator(a, _columns_to_matrix(a.field, cols, ia.dim)) for cols in found]
 
 
@@ -514,9 +482,9 @@ def enumerate_rb_raw(a: Algebra, weight) -> list[RBOperator]:
     ia = IntAlgebra(a)
     _guard(ia.p, ia.dim, RAW_GUARD)
     w = coerce_weight(a.field, weight)
-    emitter = _RBEmitter(ia, w.value)
-    pool = _column_pool(ia.p, ia.dim)
-    found = [cols for cols in itertools.product(pool, repeat=ia.dim) if _leaf_ok(ia, emitter, cols)]
+    pair = partial(_rb_pair, ia, w.value)
+    space = itertools.product(range(ia.p), repeat=ia.dim)
+    found = [cols for cols in itertools.product(space, repeat=ia.dim) if _leaf_ok(ia, pair, cols)]
     found.sort(key=lambda cols: pack_columns(cols, ia.dim))
     return _rb_operators(a, w, found)
 
@@ -525,9 +493,9 @@ def enumerate_automorphisms_raw(a: Algebra) -> list[Matrix]:
     """Filter every matrix through check_automorphism; small spaces only."""
     ia = IntAlgebra(a)
     _guard(ia.p, ia.dim, RAW_AUTO_GUARD)
-    pool = _column_pool(ia.p, ia.dim)
     out = []
-    for cols in itertools.product(pool, repeat=ia.dim):
+    space = itertools.product(range(ia.p), repeat=ia.dim)
+    for cols in itertools.product(space, repeat=ia.dim):
         m = _columns_to_matrix(a.field, cols, ia.dim)
         if check_automorphism(a, m):
             out.append((pack_columns(cols, ia.dim), m))

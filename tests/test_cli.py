@@ -380,6 +380,8 @@ def _accepted_options(parser, prefix=()) -> dict:
 
 
 def test_each_command_accepts_only_the_options_it_reads():
+    # built once per process, and shared by every call of main
+    assert build_parser() is build_parser()
     accepted = _accepted_options(build_parser())
     assert accepted == {k: {"--" + o for o in v.split()} for k, v in ACCEPTED.items()}
     assert sum(len(v) for v in accepted.values()) == 76
@@ -420,6 +422,7 @@ ENUMERATE_K3 = ("enumerate", "--algebra", fx("k3_f3.alg"))
 CONVERT_M4 = ("convert", "--algebra", fx("m4_q.alg"))
 TENSOR = ("--tensor", fx("example16_q.tensor"))
 OP = ("--op", fx("m1_q.op"))
+SPLIT_M2 = ("construct", "split", "--algebra", fx("m2_q.alg"), "--weight", "1", "--first")
 
 
 @pytest.mark.parametrize(
@@ -435,8 +438,14 @@ OP = ("--op", fx("m1_q.op"))
          "--op does not apply to --mode form-trace"),
         ((*CONVERT_M4, "--mode", "to-tensor", *OP, *TENSOR),
          "--tensor does not apply to --mode to-tensor"),
+        ((*SPLIT_M2, "a"), "--first 'a' is not a basis index in 0..3"),
+        ((*SPLIT_M2, "0,9"), "--first '9' is not a basis index in 0..3"),
+        ((*SPLIT_M2, "-1"), "--first '-1' is not a basis index in 0..3"),
     ],
-    ids=["raw-derivation", "weight-auto", "op-sandwich", "op-form-trace", "tensor-to-tensor"],
+    ids=[
+        "raw-derivation", "weight-auto", "op-sandwich", "op-form-trace", "tensor-to-tensor",
+        "first-letter", "first-past-dim", "first-negative",
+    ],
 )
 def test_option_the_kind_or_mode_ignores_exits_2(argv, message):
     code, out, err = run(*argv)

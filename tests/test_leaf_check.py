@@ -28,13 +28,13 @@ from rbx.formats import algebra_from_text, operator_from_text
 from rbx.rb import LinearOperator, check_derivation_weight, check_rb
 from rbx.search import (
     IntAlgebra,
-    _AutoEmitter,
-    _DerivationEmitter,
-    _RBEmitter,
+    _auto_pair,
     _columns_to_matrix,
+    _derivation_pair,
     _keeps_grading,
     _leaf_ok,
     _inverse_mod_p,
+    _rb_pair,
     enumerate_automorphisms,
     enumerate_derivations,
     enumerate_rb,
@@ -132,17 +132,18 @@ def auto_members(name: str) -> tuple:
     ia = load(name)
     out = [diagonal(ia.dim, 1), diagonal(ia.dim, 0)]
     if name in SMALL or name == GRADED_GR2:
-        out += search._search(ia, _AutoEmitter(ia), search._full_pools(ia, graded=False))
+        pair = functools.partial(_auto_pair, ia)
+        out += search._search(ia, pair, search._full_pools(ia, graded=False))
     return tuple(out)
 
 
 def int_says(ia: IntAlgebra, kind: str, cols, w: int) -> bool:
     if kind == "rb":
-        return _leaf_ok(ia, _RBEmitter(ia, w), cols)
+        return _leaf_ok(ia, functools.partial(_rb_pair, ia, w), cols)
     if kind == "derivation":
-        return _leaf_ok(ia, _DerivationEmitter(ia, w), cols)
+        return _leaf_ok(ia, functools.partial(_derivation_pair, ia, w), cols)
     return (
-        _leaf_ok(ia, _AutoEmitter(ia), cols)
+        _leaf_ok(ia, functools.partial(_auto_pair, ia), cols)
         and _inverse_mod_p(cols, ia.p) is not None
         and _keeps_grading(ia, cols)
     )
@@ -201,7 +202,7 @@ def test_each_auto_leaf_check_rejects():
     ia = load(GRADED_GR2)
     verdicts = {"rank": 0, "grading": 0, "auto": 0}
     for cols in auto_members(GRADED_GR2):
-        assert _leaf_ok(ia, _AutoEmitter(ia), cols)
+        assert _leaf_ok(ia, functools.partial(_auto_pair, ia), cols)
         if _inverse_mod_p(cols, ia.p) is None:
             verdict = "rank"
         elif not _keeps_grading(ia, cols):
@@ -239,7 +240,7 @@ def test_inverse_mod_p_singular():
 
 
 def corrupt_search(monkeypatch, cols):
-    monkeypatch.setattr(search, "_search", lambda ia, emitter, pools: [cols])
+    monkeypatch.setattr(search, "_search", lambda ia, pair, pools: [cols])
 
 
 def test_rejected_rb_leaf_raises(monkeypatch):
@@ -289,13 +290,13 @@ def test_image_off_its_target_raises():
     moves = search._rb_moves(a, rb.coerce_weight(f3, 1), search._automorphisms(ia))
     assert len(moves) == 2
     with pytest.raises(LeafRejectedError, match=r"R\(e_0\)"):
-        search._checked_leaves(ia, _RBEmitter(ia, 1), False, moves)
+        search._checked_leaves(ia, functools.partial(_rb_pair, ia, 1), False, moves)
 
 
 def test_leaf_found_twice_raises(monkeypatch):
     ia = load("k3_f3")
     cols = ((0, 0, 0),) * 3
-    monkeypatch.setattr(search, "_search", lambda ia, emitter, pools: [cols, cols])
+    monkeypatch.setattr(search, "_search", lambda ia, pair, pools: [cols, cols])
     with pytest.raises(LeafRejectedError, match="found twice"):
         enumerate_rb(ia.algebra, 1)
 
@@ -353,7 +354,7 @@ def test_one_integer_check_per_operator_and_image(monkeypatch, weight, count):
     ops = enumerate_rb(a, weight)
     assert len(ops) == count
     assert checks == []
-    rb_leaves = [args[2] for args in leaf if isinstance(args[1], _RBEmitter)]
+    rb_leaves = [args[2] for args in leaf if args[1].func is _rb_pair]
     assert [search.pack_columns(cols, 4) for cols in rb_leaves] == [
         tuple(x.value for row in r.matrix.data for x in row) for r in ops
     ]

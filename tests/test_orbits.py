@@ -354,10 +354,10 @@ def _record_rb_searches(monkeypatch) -> list:
     calls = []
     real = search._search
 
-    def recording(ia, emitter, pools):
-        if isinstance(emitter, search._RBEmitter):
+    def recording(ia, pair, pools):
+        if pair.func is search._rb_pair:
             calls.append(pools)
-        return real(ia, emitter, pools)
+        return real(ia, pair, pools)
 
     monkeypatch.setattr(search, "_search", recording)
     return calls

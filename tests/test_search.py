@@ -1,3 +1,4 @@
+import functools
 import pathlib
 
 import pytest
@@ -181,7 +182,8 @@ def _fixture(name):
 
 def _plain(a, weight):
     ia = search.IntAlgebra(a)
-    found = search._search(ia, search._RBEmitter(ia, weight % ia.p), search._full_pools(ia, False))
+    pair = functools.partial(search._rb_pair, ia, weight % ia.p)
+    found = search._search(ia, pair, search._full_pools(ia, False))
     return sorted(pack_columns(cols, ia.dim) for cols in found)
 
 
@@ -189,10 +191,10 @@ def _record_rb_searches(monkeypatch):
     calls = []
     real = search._search
 
-    def recording(ia, emitter, pools):
-        if isinstance(emitter, search._RBEmitter):
+    def recording(ia, pair, pools):
+        if pair.func is search._rb_pair:
             calls.append(pools)
-        return real(ia, emitter, pools)
+        return real(ia, pair, pools)
 
     monkeypatch.setattr(search, "_search", recording)
     return calls
