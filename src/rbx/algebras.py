@@ -23,7 +23,7 @@ from .errors import (
     MissingStructureError,
 )
 from .fields import Field, FieldElement
-from .linalg import Matrix, Subspace, Vector, as_vector, vec_add, vec_scale
+from .linalg import Matrix, Subspace, Vector, as_vector, vec_add, vec_dot, vec_scale
 
 
 @dataclass(frozen=True)
@@ -39,25 +39,13 @@ class QuadraticStructure:
     gram: Matrix
 
     def t(self, coeffs: Vector) -> FieldElement:
-        acc = self.gram.field.zero
-        for a, c in zip(self.trace, coeffs):
-            if not a.is_zero() and not c.is_zero():
-                acc = acc + a * c
-        return acc
+        return vec_dot(self.gram.field, self.trace, coeffs)
 
     def n(self, coeffs: Vector) -> FieldElement:
-        half = self.gram.apply(coeffs)
-        acc = self.gram.field.zero
-        for a, c in zip(coeffs, half):
-            if not a.is_zero() and not c.is_zero():
-                acc = acc + a * c
-        return acc
+        return vec_dot(self.gram.field, coeffs, self.gram.apply(coeffs))
 
     def f(self, x: Vector, y: Vector) -> FieldElement:
-        acc = self.gram.field.zero
-        for a, c in zip(x, self.gram.apply(y)):
-            if not a.is_zero() and not c.is_zero():
-                acc = acc + a * c
+        acc = vec_dot(self.gram.field, x, self.gram.apply(y))
         return acc + acc
 
 

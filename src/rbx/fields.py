@@ -72,6 +72,10 @@ class Field:
     char: int
 
     def element(self, value) -> "FieldElement":
+        if isinstance(value, FieldElement):
+            if value.field != self:
+                raise FieldMismatchError("cannot move elements between fields")
+            return value
         return FieldElement(self, self._coerce(value))
 
     @property
@@ -81,9 +85,6 @@ class Field:
     @property
     def one(self) -> "FieldElement":
         return self.element(1)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     # --- hooks implemented by subclasses -------------------------------
     def _coerce(self, value):
@@ -154,10 +155,6 @@ class Rationals(Field):
             return value
         if isinstance(value, int):
             return Fraction(value)
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise FieldMismatchError("cannot move elements between fields")
-            return value.value
         raise InvalidSpecError(f"cannot interpret {value!r} as a rational")
 
     def _add(self, a, b):
@@ -224,10 +221,6 @@ class PrimeField(Field):
     def _coerce(self, value):
         if isinstance(value, int):
             return value % self.p
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise FieldMismatchError("cannot move elements between fields")
-            return value.value
         raise InvalidSpecError(f"cannot interpret {value!r} in {self!r}")
 
     def _add(self, a, b):
@@ -303,10 +296,6 @@ class QuadraticExtension(PrimeField):
             return (value % p, 0)
         if isinstance(value, tuple) and len(value) == 2:
             return (value[0] % p, value[1] % p)
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise FieldMismatchError("cannot move elements between fields")
-            return value.value
         raise InvalidSpecError(f"cannot interpret {value!r} in {self!r}")
 
     def _add(self, x, y):

@@ -51,6 +51,30 @@ def _vec_text(vec) -> str:
     return " ".join(str(c) for c in vec)
 
 
+def _header(text: str, kind: str, pattern: re.Pattern, algebra: Algebra | None = None):
+    """The content lines of a record and the match of its header line.
+
+    The header's first group names the algebra; when an algebra is given it
+    must be the one named.
+    """
+    lines = _content_lines(text)
+    if not lines:
+        raise InvalidSpecError(f"empty {kind} file")
+    m = pattern.fullmatch(lines[0])
+    if not m:
+        raise InvalidSpecError(f"bad {kind} header {lines[0]!r}")
+    if algebra is not None and m.group(1) != algebra.name:
+        raise AlgebraMismatchError(f"{kind} file is for {m.group(1)!r}, not {algebra.name!r}")
+    return lines, m
+
+
+def _parse_ints(parts, line: str) -> list[int]:
+    try:
+        return [int(t) for t in parts]
+    except ValueError:
+        raise InvalidSpecError(f"non-integer entry in {line!r}") from None
+
+
 def _parse_vec(field, parts, dim) -> Vector:
     if len(parts) != dim:
         raise InvalidSpecError(f"expected {dim} entries, got {len(parts)}")
@@ -77,15 +101,12 @@ def algebra_to_text(a: Algebra) -> str:
 
 
 def algebra_from_text(text: str, allow_char2: bool = False) -> Algebra:
-    lines = _content_lines(text)
-    if not lines:
-        raise InvalidSpecError("empty algebra file")
-    m = _ALGEBRA_HEADER.fullmatch(lines[0])
-    if not m:
-        raise InvalidSpecError(f"bad algebra header {lines[0]!r}")
+    lines, m = _header(text, "algebra", _ALGEBRA_HEADER)
     name = m.group(1)
     field = field_from_text(m.group(2), allow_char2=allow_char2)
     dim = int(m.group(3))
+    if dim < 1:
+        raise InvalidSpecError("dim must be at least 1")
     basis = None
     unit = None
     grading = None
@@ -101,12 +122,12 @@ def algebra_from_text(text: str, allow_char2: bool = False) -> Algebra:
             parts = line[len("grading=") :].split()
             if len(parts) != dim:
                 raise InvalidSpecError("grading line length != dim")
-            grading = tuple(int(t) for t in parts)
+            grading = tuple(_parse_ints(parts, line))
         else:
             parts = line.split()
             if len(parts) != 4:
                 raise InvalidSpecError(f"bad product line {line!r}")
-            i, j, k = (int(t) for t in parts[:3])
+            i, j, k = _parse_ints(parts[:3], line)
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise InvalidSpecError(f"index out of range in {line!r}")
             cells[i][j][k] = cells[i][j][k] + field.parse(parts[3])
@@ -117,13 +138,7 @@ def algebra_from_text(text: str, allow_char2: bool = False) -> Algebra:
         rebuilt = build_algebra(field, name)
     except InvalidSpecError:
         return parsed.validate()
-    if (
-        rebuilt.dim == parsed.dim
-        and rebuilt.basis == parsed.basis
-        and rebuilt.table == parsed.table
-        and rebuilt.unit == parsed.unit
-        and rebuilt.grading == parsed.grading
-    ):
+    if rebuilt == parsed and rebuilt.basis == parsed.basis:
         # canonical algebra: keep the builder's structural extras
         return rebuilt
     return parsed.validate()
@@ -155,16 +170,7 @@ def operator_from_text(text: str, algebra: Algebra):
 
     No Rota-Baxter verification happens here; callers decide what to check.
     """
-    lines = _content_lines(text)
-    if not lines:
-        raise InvalidSpecError("empty operator file")
-    m = _OPERATOR_HEADER.fullmatch(lines[0])
-    if not m:
-        raise InvalidSpecError(f"bad operator header {lines[0]!r}")
-    if m.group(1) != algebra.name:
-        raise AlgebraMismatchError(
-            f"operator file is for {m.group(1)!r}, not {algebra.name!r}"
-        )
+    lines, m = _header(text, "operator", _OPERATOR_HEADER, algebra)
     field = algebra.field
     weight = field.parse(m.group(2))
     rows = lines[1:]
@@ -187,16 +193,7 @@ def tensor_to_text(t: Tensor2) -> str:
 
 
 def tensor_from_text(text: str, algebra: Algebra) -> Tensor2:
-    lines = _content_lines(text)
-    if not lines:
-        raise InvalidSpecError("empty tensor file")
-    m = _TENSOR_HEADER.fullmatch(lines[0])
-    if not m:
-        raise InvalidSpecError(f"bad tensor header {lines[0]!r}")
-    if m.group(1) != algebra.name:
-        raise AlgebraMismatchError(
-            f"tensor file is for {m.group(1)!r}, not {algebra.name!r}"
-        )
+    lines, m = _header(text, "tensor", _TENSOR_HEADER, algebra)
     count = int(m.group(2))
     if len(lines) - 1 != count:
         raise InvalidSpecError(f"expected {count} term lines, got {len(lines) - 1}")

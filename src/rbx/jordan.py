@@ -31,7 +31,7 @@ from .errors import (
     ZeroFirstRowError,
     ZeroWeightError,
 )
-from .fields import Field, FieldElement
+from .fields import Field, FieldElement, PrimeField
 from .linalg import Matrix, Vector, as_vector, vec_is_zero
 from .rb import LinearOperator, RBOperator, coerce_weight
 
@@ -614,28 +614,22 @@ def block_pair_op(spec: JordanSpec) -> RBOperator:
     return RBOperator(LinearOperator(spec.algebra(), Matrix(field, rows)), w)
 
 
+def _j111_op(field: Field, cols) -> RBOperator:
+    """The weight -1 operator on J(1,1,1) with the given integer columns."""
+    spec = JordanSpec.make(field, [1, 1, 1], -1)
+    return RBOperator(LinearOperator.from_columns(spec.algebra(), cols), spec.weight)
+
+
 def nonsplit_dim4_op(field: Field | None = None) -> RBOperator:
     """The fixed non-splitting weight -1 operator on J(1,1,1) mod 5."""
-    from .fields import PrimeField
-
-    field = field or PrimeField(5)
-    spec = JordanSpec.make(field, [1, 1, 1], -1)
     cols = [[4, 4, 3, 3], [1, 3, 4, 1], [2, 1, 3, 2], [2, 4, 3, 3]]
-    return RBOperator(
-        LinearOperator.from_columns(spec.algebra(), cols), spec.weight
-    )
+    return _j111_op(field or PrimeField(5), cols)
 
 
 def split_dim4_op(field: Field | None = None) -> RBOperator:
     """The fixed splitting weight -1 operator on J(1,1,1) mod 13."""
-    from .fields import PrimeField
-
-    field = field or PrimeField(13)
-    spec = JordanSpec.make(field, [1, 1, 1], -1)
     cols = [[7, 7, 7, 9], [7, 7, 7, 9], [7, 6, 7, 4], [9, 4, 9, 7]]
-    return RBOperator(
-        LinearOperator.from_columns(spec.algebra(), cols), spec.weight
-    )
+    return _j111_op(field or PrimeField(13), cols)
 
 
 def rank_one_split_op(

@@ -40,6 +40,15 @@ def vec_scale(c: FieldElement, x: Vector) -> Vector:
     return tuple(c * a for a in x)
 
 
+def vec_dot(field: Field, x: Vector, y: Vector) -> FieldElement:
+    """The sum of x_k * y_k, skipping zero factors."""
+    acc = field.zero
+    for a, b in zip(x, y):
+        if not a.is_zero() and not b.is_zero():
+            acc = acc + a * b
+    return acc
+
+
 def vec_is_zero(x: Vector) -> bool:
     return all(a.is_zero() for a in x)
 
@@ -120,18 +129,10 @@ class Matrix:
             self._check_same(other)
             if self.ncols != other.nrows:
                 raise DimensionMismatchError("inner dimensions differ")
-            cols = other.ncols
-            out = []
-            for row in self.data:
-                new = []
-                for j in range(cols):
-                    acc = self.field.zero
-                    for k, a in enumerate(row):
-                        if not a.is_zero():
-                            acc = acc + a * other.data[k][j]
-                    new.append(acc)
-                out.append(new)
-            return Matrix(self.field, out)
+            cols = other.columns()
+            return Matrix(
+                self.field, [[vec_dot(self.field, row, c) for c in cols] for row in self.data]
+            )
         return self.scale(other)
 
     __rmul__ = scale
@@ -141,14 +142,7 @@ class Matrix:
         vec = as_vector(self.field, v)
         if len(vec) != self.ncols:
             raise DimensionMismatchError("vector length != column count")
-        out = []
-        for row in self.data:
-            acc = self.field.zero
-            for a, x in zip(row, vec):
-                if not a.is_zero() and not x.is_zero():
-                    acc = acc + a * x
-            out.append(acc)
-        return tuple(out)
+        return tuple(vec_dot(self.field, row, vec) for row in self.data)
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, [self.column(j) for j in range(self.ncols)])
@@ -307,17 +301,7 @@ class Subspace:
         return not self.basis
 
     def contains_vector(self, v: Sequence) -> bool:
-        vec = as_vector(self.field, v)
-        if len(vec) != self.ambient:
-            raise DimensionMismatchError("vector length != ambient dimension")
-        # reduce v against the echelon basis
-        residue = list(vec)
-        for b in self.basis:
-            lead = next(j for j, e in enumerate(b) if not e.is_zero())
-            if not residue[lead].is_zero():
-                f = residue[lead]
-                residue = [a - f * c for a, c in zip(residue, b)]
-        return all(e.is_zero() for e in residue)
+        return self.coordinates(v) is not None
 
     def contains(self, other: "Subspace") -> bool:
         return all(self.contains_vector(b) for b in other.basis)

@@ -202,7 +202,7 @@ def _soundness_fault(a: Algebra, ops) -> str | None:
             return "FAIL: unit found inside an image"
         if r.kernel().dim < 2:
             return "FAIL: kernel dimension below 2"
-        if not _image_all_degenerate(a, image):
+        if _image_all_degenerate(a, image) is not True:
             return "FAIL: invertible matrix inside an image"
     return None
 

@@ -54,10 +54,6 @@ from .linalg import (
 
 
 def coerce_weight(field: Field, weight) -> FieldElement:
-    if isinstance(weight, FieldElement):
-        if weight.field != field:
-            raise FieldMismatchError("weight from a different field")
-        return weight
     return field.element(weight)
 
 
@@ -281,18 +277,21 @@ class Decomposition:
         return f"Decomposition({self.first!r} (+) {self.second!r})"
 
 
+def _op_sending(a: Algebra, src, dst) -> LinearOperator:
+    """The operator sending each src[k] to dst[k], i.e. dst * src^-1."""
+    change = Matrix.from_columns(a.field, src)
+    return LinearOperator(a, Matrix.from_columns(a.field, dst) * change.inverse())
+
+
 def split_op(dec: Decomposition, weight) -> RBOperator:
     """The operator that kills A1 and scales A2 by minus the weight."""
     a = dec.algebra
-    field = a.field
-    w = coerce_weight(field, weight)
+    w = coerce_weight(a.field, weight)
     src = list(dec.first.basis) + list(dec.second.basis)
-    dst = [zero_vector(field, a.dim)] * dec.first.dim + [
+    dst = [zero_vector(a.field, a.dim)] * dec.first.dim + [
         vec_scale(-w, v) for v in dec.second.basis
     ]
-    change = Matrix.from_columns(field, src)
-    m = Matrix.from_columns(field, dst) * change.inverse()
-    return RBOperator(LinearOperator(a, m), w)
+    return RBOperator(_op_sending(a, src, dst), w)
 
 
 def is_splitting(r: RBOperator) -> bool:
@@ -485,12 +484,9 @@ def triple_to_rb(t: RBTriple) -> RBOperator:
     """Rebuild the weight-zero operator with kernel I and R(D(s)) = s."""
     t.validate()
     a = t.algebra
-    field = a.field
     src = list(t.section.columns()) + list(t.kernel_part.basis)
-    dst = list(t.sub.basis) + [zero_vector(field, a.dim)] * t.kernel_part.dim
-    change = Matrix.from_columns(field, src)
-    m = Matrix.from_columns(field, dst) * change.inverse()
-    return RBOperator(LinearOperator(a, m), 0)
+    dst = list(t.sub.basis) + [zero_vector(a.field, a.dim)] * t.kernel_part.dim
+    return RBOperator(_op_sending(a, src, dst), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +527,9 @@ class OperatorReport:
     """Structural facts about a verified operator.
 
     Optional fields are None when the algebra lacks the structure needed to
-    compute them (no unit, no quadratic data, not a matrix algebra).
+    compute them (no unit, no quadratic data, not a matrix algebra), and
+    degenerate_image is also None when it is not decided (see
+    _image_all_degenerate).
     """
 
     weight: FieldElement
@@ -566,8 +564,9 @@ def _image_all_degenerate(a: Algebra, image: Subspace) -> bool | None:
     """Whether every element of the image is singular as a matrix.
 
     Exact for 2x2 (the determinant is a quadratic form) and for small
-    finite images by enumeration; otherwise only the canonical basis is
-    checked and the answer is a lower bound on the truth.
+    finite images by enumeration.  Otherwise only the canonical basis is
+    checked: a nonsingular basis vector gives False, and else the answer
+    is None (not decided).
     """
     n = a.matrix_shape
     if n is None:
@@ -589,7 +588,7 @@ def _image_all_degenerate(a: Algebra, image: Subspace) -> bool | None:
         for b in image.basis:
             stack = [vec_add(v, vec_scale(c, b)) for v in stack for c in scalars]
         return all(_as_square(a, v).det().is_zero() for v in stack)
-    return True
+    return None
 
 
 def diagnostics(op: LinearOperator, weight) -> OperatorReport:

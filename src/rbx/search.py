@@ -33,9 +33,9 @@ e_0 take the plain search.
 
 All arithmetic here runs on plain integer residues.  Each leaf the search
 reaches, and each image of one, is checked once, on residues, against the
-relation of every ordered basis pair (_leaf_ok); a leaf that fails,
-an image whose R(e_0) is not the value its move was chosen for, or a
-result found twice is an internal error and raises LeafRejectedError.
+relation of every ordered basis pair (_leaf_ok); a leaf that fails, a
+move that does not fix e_0, or a result found twice is an internal error
+and raises LeafRejectedError.
 Only then do matrices become FieldElement objects, through constructors
 that do not check them again.
 """
@@ -343,11 +343,11 @@ def _conjugate(p: int, move: tuple, cols: tuple) -> tuple:
     return tuple(sum(map(mul, row, col)) % p for row in lr for col in right_t)
 
 
-def _cosets(p: int, pool: list, moves: list) -> dict:
+def _cosets(p: int, pool: list, moves) -> dict:
     """One representative per orbit of v -> left * v on pool, in pool order.
 
-    Each representative maps to (move, u) for the other members u of its
-    orbit, with the first move that reaches u.
+    Each representative maps to the first move reaching each other member
+    of its orbit; with no moves every value is its own representative.
     """
     seen: set = set()
     cosets = {}
@@ -360,44 +360,45 @@ def _cosets(p: int, pool: list, moves: list) -> dict:
             u = tuple(sum(map(mul, row, v)) % p for row in move[0])
             if u not in seen:
                 seen.add(u)
-                reach.append((move, u))
+                reach.append(move)
     return cosets
 
 
 def _images(ia: IntAlgebra, found: list, cosets: dict) -> list:
     """The images of the leaves onto the other members of their orbits.
 
-    An image whose column 0 is not the member its move was chosen for
-    means the moves do not fix e_0 and raises LeafRejectedError.
+    Every move fixes e_0 (_checked_leaves), so an image's R(e_0) is the
+    member left * R(e_0) its move was chosen for.
     """
     dim = ia.dim
     out = []
     for cols in found:
-        for move, u in cosets.get(cols[0], ()):
+        for move in cosets.get(cols[0], ()):
             packed = _conjugate(ia.p, move, cols)
-            image = tuple(packed[j::dim] for j in range(dim))
-            if image[0] != u:
-                raise LeafRejectedError(
-                    f"image {packed} on {ia.algebra.name} has R(e_0) = {image[0]}, not {u}"
-                )
-            out.append(image)
+            out.append(tuple(packed[j::dim] for j in range(dim)))
     return out
 
 
 def _checked_leaves(ia: IntAlgebra, pair, graded: bool, moves=()) -> list:
     """Search, sort row-major, and check every leaf once on residues.
 
-    With moves that fix e_0, column 0 runs over one representative per
-    orbit only; each leaf found then brings its images under the moves onto
-    the other members of its orbit.
+    With moves, column 0 runs over one representative per orbit only; each
+    leaf found then brings its images under the moves onto the other members
+    of its orbit.  That split is sound only when every move fixes e_0, and
+    a move that does not raises LeafRejectedError before the search.
     """
+    e0 = tuple(int(k == 0) for k in range(ia.dim))
+    for _, right_t in moves:
+        if right_t[0] != e0:
+            raise LeafRejectedError(
+                f"a move on {ia.algebra.name} sends e_0 to {right_t[0]}, "
+                "but the orbit split needs every move to fix e_0"
+            )
     pools = _full_pools(ia, graded)
-    if moves:
-        cosets = _cosets(ia.p, pools[0], moves)
-        pools[0] = list(cosets)
+    cosets = _cosets(ia.p, pools[0], moves)
+    pools[0] = list(cosets)
     found = _search(ia, pair, pools)
-    if moves:
-        found += _images(ia, found, cosets)
+    found += _images(ia, found, cosets)
     found.sort(key=lambda cols: pack_columns(cols, ia.dim))
     prev = None
     for cols in found:

@@ -24,7 +24,7 @@ from .errors import (
     NotAssociativeError,
 )
 from .fields import Field
-from .linalg import Matrix, Vector, as_vector, vec_is_zero
+from .linalg import Matrix, Vector, as_vector, vec_add, vec_dot, vec_is_zero, vec_scale
 from .rb import LinearOperator
 
 
@@ -94,18 +94,29 @@ def _accumulate(cube: list, dim: int, u: Vector, v: Vector, w: Vector, negate: b
     return cube
 
 
-def check_aybe(t: Tensor2) -> bool:
-    """The classical associative equation r13 r12 - r12 r23 + r23 r13 = 0."""
+def _legs_vanish(t: Tensor2, legs) -> bool:
+    """True when the signed legs of every ordered pair of terms sum to zero.
+
+    legs(mul, ai, bi, aj, bj) yields (u, v, w, negate) per leg u (x) v (x) w.
+    """
     a = t.algebra
     _require_associative(a)
     dim = a.dim
     cube = [a.field.zero] * dim**3
     for ai, bi in t.terms:
         for aj, bj in t.terms:
-            _accumulate(cube, dim, a.product_vec(ai, aj), bj, bi, False)
-            _accumulate(cube, dim, ai, a.product_vec(bi, aj), bj, True)
-            _accumulate(cube, dim, aj, ai, a.product_vec(bi, bj), False)
+            for u, v, w, negate in legs(a.product_vec, ai, bi, aj, bj):
+                _accumulate(cube, dim, u, v, w, negate)
     return all(c.is_zero() for c in cube)
+
+
+def check_aybe(t: Tensor2) -> bool:
+    """The classical associative equation r13 r12 - r12 r23 + r23 r13 = 0."""
+    return _legs_vanish(t, lambda mul, ai, bi, aj, bj: (
+        (mul(ai, aj), bj, bi, False),
+        (ai, mul(bi, aj), bj, True),
+        (aj, ai, mul(bi, bj), False),
+    ))
 
 
 def check_naybe(t: Tensor2) -> bool:
@@ -114,16 +125,11 @@ def check_naybe(t: Tensor2) -> bool:
     r32 swaps the factors of r into legs 3 and 2; solutions over a field
     with a suitable form are exactly the weight-zero operators.
     """
-    a = t.algebra
-    _require_associative(a)
-    dim = a.dim
-    cube = [a.field.zero] * dim**3
-    for ai, bi in t.terms:
-        for aj, bj in t.terms:
-            _accumulate(cube, dim, a.product_vec(ai, aj), bi, bj, False)
-            _accumulate(cube, dim, ai, a.product_vec(aj, bi), bj, True)
-            _accumulate(cube, dim, ai, bj, a.product_vec(bi, aj), True)
-    return all(c.is_zero() for c in cube)
+    return _legs_vanish(t, lambda mul, ai, bi, aj, bj: (
+        (mul(ai, aj), bi, bj, False),
+        (ai, mul(aj, bi), bj, True),
+        (ai, bj, mul(bi, aj), True),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -131,19 +137,24 @@ def check_naybe(t: Tensor2) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _op_from_terms(t: Tensor2, image) -> LinearOperator:
+    """The map x -> sum over the terms a (x) b of image(a, b, x)."""
+    a = t.algebra
+    cols = []
+    for j in range(a.dim):
+        e = a.basis_vector(j)
+        col = (a.field.zero,) * a.dim
+        for av, bv in t.terms:
+            col = vec_add(col, image(av, bv, e))
+        cols.append(col)
+    return LinearOperator.from_columns(a, cols)
+
+
 def op_from_tensor_sandwich(t: Tensor2) -> LinearOperator:
     """The map x -> sum_i a_i x b_i."""
     a = t.algebra
     _require_associative(a)
-    cols = []
-    for j in range(a.dim):
-        e = a.basis_vector(j)
-        col = [a.field.zero] * a.dim
-        for av, bv in t.terms:
-            prod = a.product_vec(a.product_vec(av, e), bv)
-            col = [x + y for x, y in zip(col, prod)]
-        cols.append(col)
-    return LinearOperator.from_columns(a, cols)
+    return _op_from_terms(t, lambda av, bv, e: a.product_vec(a.product_vec(av, e), bv))
 
 
 @dataclass(frozen=True)
@@ -158,11 +169,7 @@ class AssociativeForm:
             raise InvalidSpecError("form is not symmetric associative")
 
     def pair(self, x: Vector, y: Vector):
-        acc = self.algebra.field.zero
-        for a, c in zip(x, self.gram.apply(y)):
-            if not a.is_zero() and not c.is_zero():
-                acc = acc + a * c
-        return acc
+        return vec_dot(self.algebra.field, x, self.gram.apply(y))
 
     def is_nondegenerate(self) -> bool:
         return self.gram.rank() == self.algebra.dim
@@ -178,16 +185,8 @@ def check_associative_form(a: Algebra, gram: Matrix) -> bool:
         for j in range(a.dim):
             ij = a.table_vector(i, j)
             for k in range(a.dim):
-                lhs = a.field.zero
-                for m, c in enumerate(ij):
-                    if not c.is_zero():
-                        lhs = lhs + c * gram[m, k]
-                jk = a.table_vector(j, k)
-                rhs = a.field.zero
-                for m, c in enumerate(jk):
-                    if not c.is_zero():
-                        rhs = rhs + gram[i, m] * c
-                if lhs != rhs:
+                lhs = vec_dot(a.field, ij, gram.column(k))
+                if lhs != vec_dot(a.field, gram.row(i), a.table_vector(j, k)):
                     return False
     return True
 
@@ -205,16 +204,8 @@ def trace_form(a: Algebra) -> AssociativeForm:
         tvec = a.quadratic.trace
     else:
         raise MissingStructureError("no trace available for this algebra")
-    rows = []
-    for i in range(a.dim):
-        row = []
-        for j in range(a.dim):
-            acc = field.zero
-            for k, c in a.table[i][j]:
-                if not tvec[k].is_zero():
-                    acc = acc + tvec[k] * c
-            row.append(acc)
-        rows.append(row)
+    rows = [[vec_dot(field, tvec, a.table_vector(i, j)) for j in range(a.dim)]
+            for i in range(a.dim)]
     return AssociativeForm(a, Matrix(field, rows))
 
 
@@ -225,16 +216,7 @@ def op_from_tensor_form(t: Tensor2, form: AssociativeForm) -> LinearOperator:
         raise AlgebraMismatchError("form over a different algebra")
     if not form.is_nondegenerate():
         raise DegenerateFormError("the correspondence needs a nondegenerate form")
-    cols = []
-    for j in range(a.dim):
-        e = a.basis_vector(j)
-        col = [a.field.zero] * a.dim
-        for av, bv in t.terms:
-            c = form.pair(bv, e)
-            if not c.is_zero():
-                col = [x + c * y for x, y in zip(col, av)]
-        cols.append(col)
-    return LinearOperator.from_columns(a, cols)
+    return _op_from_terms(t, lambda av, bv, e: vec_scale(form.pair(bv, e), av))
 
 
 def tensor_from_op(op: LinearOperator, form: AssociativeForm) -> Tensor2:

@@ -245,6 +245,21 @@ def test_false_unit_line_exits_2():
         assert err.splitlines()[0] == "error: unit law fails on basis u2"
 
 
+@pytest.mark.parametrize("text", [
+    "algebra x field=F5 dim=2\nbasis a b\na 0 0 1\n",
+    "algebra x field=F5 dim=2\nbasis a b\ngrading= 0 x\n",
+    "algebra x field=F5 dim=0\nbasis\n",
+])
+def test_malformed_algebra_file_exits_2(tmp_path, text):
+    path = tmp_path / "bad.alg"
+    path.write_text(text, encoding="utf-8")
+    for argv in (["info"], ["classify"], ["enumerate", "--kind", "auto"]):
+        code, out, err = run(*argv, "--algebra", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+
 # name -> argv of a command whose stdout is tests/fixtures/golden/<name>.out
 GOLDEN = {
     **{
@@ -305,6 +320,11 @@ GOLDEN = {
                                        "--kind", "derivation", "--weight", "1"),
     "enumerate-j3_f5-rb-w1": ("enumerate", "--algebra", fx("j3_f5.alg"), "--weight", "1"),
     "enumerate-gr2_f3-rb-w0": ("enumerate", "--algebra", fx("gr2_f3.alg"), "--weight", "0"),
+    # the case through QuadraticStructure.t; the case over F13; the unit tags
+    # through Subspace.contains_vector
+    "check-example14_q": ("check", "--algebra", fx("m2_q.alg"), "--op", fx("example14_q.op")),
+    "check-ex12": ("check", "--algebra", fx("j4_f13.alg"), "--op", fx("ex12.op")),
+    "classify-j3_f5-w1": ("classify", "--algebra", fx("j3_f5.alg"), "--weight", "1"),
 }
 
 

@@ -14,6 +14,7 @@ from rbx.fields import (
     PrimeField,
     QuadraticExtension,
     Rationals,
+    _sqrt_mod_prime,
     field_from_text,
     field_to_text,
 )
@@ -79,6 +80,11 @@ def test_rationals_cannot_enumerate():
 def test_field_mixing_rejected():
     with pytest.raises(FieldMismatchError):
         F5.one + F13.one
+    # Field.element takes an element of its own field only
+    assert F5.element(F5.element(3)) == F5.element(3)
+    for field, x in ((F5, F13.one), (F13, E13.one), (E13, F13.one), (Q, F5.one)):
+        with pytest.raises(FieldMismatchError):
+            field.element(x)
 
 
 def test_field_text_round_trip():
@@ -117,6 +123,27 @@ def test_prime_sqrt_exact():
     for v in range(13):
         if v not in squares:
             assert F13.sqrt(F13.element(v)) is None
+
+
+@pytest.mark.parametrize("p", [13, 17, 41])
+def test_sqrt_mod_prime_matches_brute_force(p):
+    # p = 1 mod 4 takes Tonelli-Shanks; at 17 and 41, 2 is a square, so the
+    # search for a non-residue moves past it
+    for a in range(p):
+        roots = [r for r in range(p) if r * r % p == a]
+        assert _sqrt_mod_prime(a, p) == (min(roots) if roots else None)
+
+
+@pytest.mark.parametrize("p, a", [(3, 2), (5, 2), (7, 3), (11, 2), (13, 2)])
+def test_extension_sqrt_matches_brute_force(p, a):
+    # every element, including u + v*s with v != 0; the root with the
+    # smaller encoding u + v*p is the one returned
+    field = QuadraticExtension(p, a)
+    elements = list(field.elements())
+    for x in elements:
+        roots = [y for y in elements if y * y == x]
+        expect = min(roots, key=lambda y: y.encoding()) if roots else None
+        assert field.sqrt(x) == expect
 
 
 @given(st.integers(min_value=0, max_value=168))

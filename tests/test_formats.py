@@ -94,6 +94,14 @@ def test_algebra_parse_errors():
         algebra_from_text("algebra x field=F5 dim=2\nbasis a\n")
     with pytest.raises(InvalidSpecError):
         algebra_from_text("algebra x field=F5 dim=2\nbasis a b\n0 0 9 1\n")
+    # a letter for an index or a grading entry, and an empty basis
+    for text in (
+        "algebra x field=F5 dim=2\nbasis a b\na 0 0 1\n",
+        "algebra x field=F5 dim=2\nbasis a b\ngrading= 0 x\n",
+        "algebra x field=F5 dim=0\nbasis\n",
+    ):
+        with pytest.raises(InvalidSpecError):
+            algebra_from_text(text)
 
 
 def test_operator_round_trip_fixtures():

@@ -289,7 +289,7 @@ def test_image_off_its_target_raises():
     ia = IntAlgebra(a)
     moves = search._rb_moves(a, rb.coerce_weight(f3, 1), search._automorphisms(ia))
     assert len(moves) == 2
-    with pytest.raises(LeafRejectedError, match=r"R\(e_0\)"):
+    with pytest.raises(LeafRejectedError, match="needs every move to fix e_0"):
         search._checked_leaves(ia, functools.partial(_rb_pair, ia, 1), False, moves)
 
 

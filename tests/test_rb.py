@@ -331,6 +331,24 @@ def test_diagnostics_scaled_weight_normalizes():
     assert rep.unit_case == "II"
 
 
+def _m3_triangular_split(field):
+    # M3 = strictly lower (+) upper triangular; the image is the upper
+    # triangular matrices, which contain the identity
+    a = matrix_algebra(field, 3)
+    basis = lambda pairs: Subspace(field, 9, [a.basis_vector(3 * i + j) for i, j in pairs])
+    lower = basis([(i, j) for i in range(3) for j in range(i)])
+    upper = basis([(i, j) for i in range(3) for j in range(i, 3)])
+    return split_op(Decomposition(a, lower, upper), 1)
+
+
+def test_diagnostics_degenerate_image_decided_or_none():
+    # F3: 3^6 image elements, few enough to enumerate; the identity is found
+    assert diagnostics(_m3_triangular_split(F3).operator, 1).degenerate_image is False
+    # Q and F7: too many to enumerate, and every basis matrix is singular
+    for field in (Q, F7):
+        assert diagnostics(_m3_triangular_split(field).operator, 1).degenerate_image is None
+
+
 def test_diagnostics_rejects_non_rb():
     a = matrix_algebra(Q, 2)
     with pytest.raises(NotRBError):
