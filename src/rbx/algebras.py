@@ -229,8 +229,7 @@ class Element:
         return self.scale(other)
 
     def scale(self, c) -> "Element":
-        c = c if isinstance(c, FieldElement) else self.algebra.field.element(c)
-        return Element(self.algebra, vec_scale(c, self.coeffs))
+        return Element(self.algebra, vec_scale(self.algebra.field.element(c), self.coeffs))
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)

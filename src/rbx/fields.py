@@ -73,7 +73,8 @@ class Field:
 
     def element(self, value) -> "FieldElement":
         if isinstance(value, FieldElement):
-            if value.field != self:
+            # the identity test spares the hot path a call to __eq__
+            if value.field is not self and value.field != self:
                 raise FieldMismatchError("cannot move elements between fields")
             return value
         return FieldElement(self, self._coerce(value))

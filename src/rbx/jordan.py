@@ -94,8 +94,7 @@ class Poly:
 
     @classmethod
     def const(cls, field: Field, c) -> "Poly":
-        c = c if isinstance(c, FieldElement) else field.element(c)
-        return cls(field, {(): c})
+        return cls(field, {(): field.element(c)})
 
     @classmethod
     def var(cls, field: Field, name: str) -> "Poly":
@@ -117,7 +116,7 @@ class Poly:
         return self + (-other)
 
     def scale(self, c) -> "Poly":
-        c = c if isinstance(c, FieldElement) else self.field.element(c)
+        c = self.field.element(c)
         return Poly(self.field, {m: c * v for m, v in self.terms.items()})
 
     def __mul__(self, other) -> "Poly":

@@ -17,7 +17,7 @@ Vector = tuple[FieldElement, ...]
 
 
 def as_vector(field: Field, entries: Sequence) -> Vector:
-    return tuple(e if isinstance(e, FieldElement) else field.element(e) for e in entries)
+    return tuple(map(field.element, entries))
 
 
 def zero_vector(field: Field, n: int) -> Vector:
@@ -121,7 +121,7 @@ class Matrix:
         return Matrix(self.field, [[-e for e in row] for row in self.data])
 
     def scale(self, c) -> "Matrix":
-        c = c if isinstance(c, FieldElement) else self.field.element(c)
+        c = self.field.element(c)
         return Matrix(self.field, [[c * e for e in row] for row in self.data])
 
     def __mul__(self, other):

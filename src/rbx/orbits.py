@@ -9,7 +9,7 @@ under every group element, computed in plain integer arithmetic; the
 canonical representative is the row-major smallest member.
 orbit_classify searches the automorphisms once, builds the group from them
 (search._rb_moves), and partitions the leaves of the operator search split
-by that group (search._rb_leaves).
+by the moves of that group that fix e_0 (search._rb_leaves).
 
 The claims form one table, CLAIMS: each row names the primes and weight
 its claim runs over, and the phrase `rbx verify` prints when it holds.
@@ -121,8 +121,8 @@ def orbit_classify(a: Algebra, weight) -> OrbitReport:
     three moves.
 
     The moves come from one automorphism search, and the operator search
-    is split by them when the unit is e_0.  An image of an operator that is
-    not itself an operator raises OrbitEscapeError.
+    is split by those of them that fix e_0.  An image of an operator that
+    is not itself an operator raises OrbitEscapeError.
     """
     ia = IntAlgebra(a)
     p, dim = ia.p, ia.dim

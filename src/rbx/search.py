@@ -17,19 +17,19 @@ assigned in index order and candidate values are tried in lexicographic
 order, so the result list is deterministic; a raw enumerator with none of
 this machinery double-checks the pruned one on small spaces.
 
-Rota-Baxter operators are searched modulo a group when the first basis
-vector e_0 is a two-sided identity of the structure constants, declared as
-the unit or not: every automorphism and antiautomorphism fixes it.  The
+Rota-Baxter operators are searched modulo a group on every algebra.  The
 moves (conjugation by every automorphism, by the recorded
 antiautomorphism, and at weight 0 scaling by every nonzero scalar; the
-group orbit_classify sorts operators by) map operators to operators and
-fix the unit, so a move (left, right) sends an operator with R(e_0) = v
-bijectively to one with R(e_0) = left * v.  Column 0 therefore runs over
-one value per orbit of v -> left * v, in one search; every operator with
-another value u of R(e_0) is the image of a leaf under the first move
-that reaches u (McKay, Isomorph-free exhaustive generation, J. Algorithms
-26, 1998).  Automorphisms, derivations and algebras without the unit at
-e_0 take the plain search.
+group orbit_classify sorts operators by) map operators to operators.  A
+move R -> left * R * right whose right factor fixes e_0 sends an operator
+with R(e_0) = v bijectively to one with R(e_0) = left * v, and the moves
+that fix e_0 form a group, the stabiliser of e_0.  Column 0 therefore runs
+over one value per orbit of v -> left * v under that stabiliser, in one
+search; every operator with another value u of R(e_0) is the image of a
+leaf under the first move that reaches u (McKay, Isomorph-free exhaustive
+generation, J. Algorithms 26, 1998).  When e_0 is the unit every move
+fixes it; when no move but the identity does, the search is the plain one.
+Automorphisms and derivations take the plain search.
 
 All arithmetic here runs on plain integer residues.  Each leaf the search
 reaches, and each image of one, is checked once, on residues, against the
@@ -219,15 +219,16 @@ def _columns_to_matrix(field, cols, dim: int) -> Matrix:
     return Matrix(field, [[field.element(cols[j][i]) for j in range(dim)] for i in range(dim)])
 
 
-def _full_pools(ia: IntAlgebra, graded: bool) -> list:
-    """Per column, every column vector in lexicographic order; when graded,
-    only those inside the grade of their basis vector."""
+def _full_pools(ia: IntAlgebra, auto: bool) -> list:
+    """Per column, every column vector in lexicographic order; for
+    automorphisms (auto), only the nonzero ones inside the grade of their
+    basis vector, as no automorphism sends a basis vector to 0."""
     space = list(itertools.product(range(ia.p), repeat=ia.dim))
-    grading = ia.algebra.grading if graded else None
-    if grading is None:
+    if not auto:
         return [space] * ia.dim
+    grading = ia.algebra.grading or (0,) * ia.dim
     return [
-        [col for col in space if all(not x or grading[k] == g for k, x in enumerate(col))]
+        [col for col in space[1:] if all(not x or grading[k] == g for k, x in enumerate(col))]
         for g in grading
     ]
 
@@ -330,10 +331,9 @@ def _rb_moves(a: Algebra, w, autos: list) -> list:
     return _moves(p, autos, a.antiauto, scalars)
 
 
-def _unit_at_e0(ia: IntAlgebra) -> bool:
-    """Whether e_0 multiplies as a two-sided identity, declared or not."""
-    identity = tuple(tuple(int(k == j) for k in range(ia.dim)) for j in range(ia.dim))
-    return ia.tvec[0] == identity == tuple(row[0] for row in ia.tvec)
+def _fixes_e0(move: tuple) -> bool:
+    """Whether the right factor of a move sends e_0 to e_0."""
+    return move[1][0] == (1,) + (0,) * (len(move[1]) - 1)
 
 
 def _conjugate(p: int, move: tuple, cols: tuple) -> tuple:
@@ -379,22 +379,21 @@ def _images(ia: IntAlgebra, found: list, cosets: dict) -> list:
     return out
 
 
-def _checked_leaves(ia: IntAlgebra, pair, graded: bool, moves=()) -> list:
+def _checked_leaves(ia: IntAlgebra, pair, auto: bool, moves=()) -> list:
     """Search, sort row-major, and check every leaf once on residues.
 
-    With moves, column 0 runs over one representative per orbit only; each
-    leaf found then brings its images under the moves onto the other members
-    of its orbit.  That split is sound only when every move fixes e_0, and
-    a move that does not raises LeafRejectedError before the search.
+    With moves, a group that fixes e_0, column 0 runs over one representative
+    per orbit only; each leaf found then brings its images under the moves
+    onto the other members of its orbit.  A move that does not fix e_0
+    would break the split, so it raises LeafRejectedError before the search.
     """
-    e0 = tuple(int(k == 0) for k in range(ia.dim))
-    for _, right_t in moves:
-        if right_t[0] != e0:
+    for move in moves:
+        if not _fixes_e0(move):
             raise LeafRejectedError(
-                f"a move on {ia.algebra.name} sends e_0 to {right_t[0]}, "
+                f"a move on {ia.algebra.name} sends e_0 to {move[1][0]}, "
                 "but the orbit split needs every move to fix e_0"
             )
-    pools = _full_pools(ia, graded)
+    pools = _full_pools(ia, auto)
     cosets = _cosets(ia.p, pools[0], moves)
     pools[0] = list(cosets)
     found = _search(ia, pair, pools)
@@ -406,7 +405,7 @@ def _checked_leaves(ia: IntAlgebra, pair, graded: bool, moves=()) -> list:
             raise LeafRejectedError(
                 f"search leaf {pack_columns(cols, ia.dim)} on {ia.algebra.name} is found twice"
             )
-        if not _leaf_ok(ia, pair, cols) or (graded and not _keeps_grading(ia, cols)):
+        if not _leaf_ok(ia, pair, cols) or (auto and not _keeps_grading(ia, cols)):
             raise LeafRejectedError(
                 f"search leaf {pack_columns(cols, ia.dim)} on {ia.algebra.name} "
                 "fails its leaf check"
@@ -418,10 +417,11 @@ def _checked_leaves(ia: IntAlgebra, pair, graded: bool, moves=()) -> list:
 def _rb_leaves(ia: IntAlgebra, w, moves) -> list:
     """Every operator of weight w as checked residue columns, sorted.
 
-    moves (_rb_moves, or ()) split the search only when e_0 is the unit.
+    The moves (_rb_moves) that fix e_0 are closed under composition, so they
+    form a group, the stabiliser of e_0, and split the search on any algebra.
     """
-    split = moves if _unit_at_e0(ia) else ()
-    return _checked_leaves(ia, partial(_rb_pair, ia, w.value), graded=False, moves=split)
+    stabiliser = [move for move in moves if _fixes_e0(move)]
+    return _checked_leaves(ia, partial(_rb_pair, ia, w.value), auto=False, moves=stabiliser)
 
 
 def _rb_operators(a: Algebra, w, found) -> list[RBOperator]:
@@ -434,22 +434,21 @@ def _rb_operators(a: Algebra, w, found) -> list[RBOperator]:
 def enumerate_rb(a: Algebra, weight) -> list[RBOperator]:
     """All Rota-Baxter operators of the given weight, sorted row-major.
 
-    The automorphism group is built only when the unit is e_0, where it
-    splits the search.
+    The search is split by the moves that fix e_0 (_rb_leaves).
     """
     ia = IntAlgebra(a)
     w = coerce_weight(a.field, weight)
-    moves = _rb_moves(a, w, _automorphisms(ia)) if _unit_at_e0(ia) else ()
-    return _rb_operators(a, w, _rb_leaves(ia, w, moves))
+    return _rb_operators(a, w, _rb_leaves(ia, w, _rb_moves(a, w, _automorphisms(ia))))
 
 
 def _automorphisms(ia: IntAlgebra) -> list:
     """All automorphisms (grading-preserving when graded), sorted.
 
     These residue columns are the automorphisms rbx works with; the search
-    encodes multiplicativity only, and singular leaves are dropped.
+    encodes multiplicativity only, over nonzero columns (_full_pools), and
+    singular leaves are dropped.
     """
-    found = _checked_leaves(ia, partial(_auto_pair, ia), graded=True)
+    found = _checked_leaves(ia, partial(_auto_pair, ia), auto=True)
     return [cols for cols in found if _inverse_mod_p(cols, ia.p) is not None]
 
 
@@ -462,7 +461,7 @@ def enumerate_derivations(a: Algebra, weight) -> list[LinearOperator]:
     """All maps obeying the weighted derivation identity, sorted row-major."""
     ia = IntAlgebra(a)
     w = coerce_weight(a.field, weight)
-    found = _checked_leaves(ia, partial(_derivation_pair, ia, w.value), graded=False)
+    found = _checked_leaves(ia, partial(_derivation_pair, ia, w.value), auto=False)
     return [LinearOperator(a, _columns_to_matrix(a.field, cols, ia.dim)) for cols in found]
 
 

@@ -325,6 +325,11 @@ GOLDEN = {
     "check-example14_q": ("check", "--algebra", fx("m2_q.alg"), "--op", fx("example14_q.op")),
     "check-ex12": ("check", "--algebra", fx("j4_f13.alg"), "--op", fx("ex12.op")),
     "classify-j3_f5-w1": ("classify", "--algebra", fx("j3_f5.alg"), "--weight", "1"),
+    # algebras whose unit is not e_0, or that have none: searched with the
+    # moves that fix e_0
+    "enumerate-sl2_f7-rb-w1": ("enumerate", "--algebra", fx("sl2_f7.alg"), "--weight", "1"),
+    "enumerate-k3_f5-rb-w0": ("enumerate", "--algebra", fx("k3_f5.alg"), "--weight", "0"),
+    "enumerate-m2_f3-rb-w1": ("enumerate", "--algebra", fx("m2_f3.alg"), "--weight", "1"),
 }
 
 

@@ -133,7 +133,7 @@ def auto_members(name: str) -> tuple:
     out = [diagonal(ia.dim, 1), diagonal(ia.dim, 0)]
     if name in SMALL or name == GRADED_GR2:
         pair = functools.partial(_auto_pair, ia)
-        out += search._search(ia, pair, search._full_pools(ia, graded=False))
+        out += search._search(ia, pair, search._full_pools(ia, auto=False))
     return tuple(out)
 
 
@@ -341,7 +341,10 @@ def test_enumerate_rb_tp4_f2_skips_field_checker(monkeypatch):
     ops = enumerate_rb(termwise_power(PrimeField(2, allow_char2=True), 4), 1)
     assert len(ops) == 2000
     assert checks == []
-    assert len(leaf) == len(ops)
+    # the automorphism search that splits the operator search checks its
+    # own 24 leaves
+    assert len([args for args in leaf if args[1].func is _rb_pair]) == len(ops)
+    assert len([args for args in leaf if args[1].func is _auto_pair]) == 24
 
 
 @pytest.mark.parametrize("weight,count", [(0, 315), (1, 148)])

@@ -2,9 +2,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rbx.errors import DimensionMismatchError, NotInvertibleError
+from rbx.algebras import matrix_algebra
+from rbx.errors import DimensionMismatchError, FieldMismatchError, NotInvertibleError
 from rbx.fields import PrimeField, Rationals
-from rbx.linalg import Matrix, Subspace, rank_nullspace, solve
+from rbx.jordan import Poly
+from rbx.linalg import Matrix, Subspace, as_vector, rank_nullspace, solve
 
 Q = Rationals()
 F5 = PrimeField(5)
@@ -122,3 +124,18 @@ def test_zero_subspace():
     assert z.dim == 0 and z.is_zero()
     full = Subspace(Q, 2, Matrix.identity(Q, 2).data)
     assert full.contains(z)
+
+
+def test_elements_of_another_field_rejected():
+    # every coercion into a field goes through Field.element, which checks
+    seven = PrimeField(13).element(7)
+    for build in (
+        lambda: Matrix(F5, [[seven]]),
+        lambda: as_vector(F5, [1, seven]),
+        lambda: Matrix.identity(F5, 2).scale(seven),
+        lambda: matrix_algebra(F5, 2).basis_element(0).scale(seven),
+        lambda: Poly.const(F5, seven),
+        lambda: Poly.var(F5, "x").scale(seven),
+    ):
+        with pytest.raises(FieldMismatchError):
+            build()

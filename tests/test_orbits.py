@@ -18,7 +18,7 @@ import pytest
 from rbx import orbits, rb, search
 from rbx.algebras import grassmann2, kaplansky3, matrix_algebra
 from rbx.cli import main
-from rbx.errors import OrbitEscapeError
+from rbx.errors import LeafRejectedError, OrbitEscapeError
 from rbx.fields import PrimeField
 from rbx.linalg import Matrix
 from rbx.orbits import (
@@ -289,31 +289,51 @@ def test_representatives_checked_once(monkeypatch):
     assert len(calls) == len(report.orbits) == 5
 
 
-# --- an orbit outside the enumeration ----------------------------------------
+# --- a bad automorphism among the moves -------------------------------------
+
+# Two maps that are invertible but not multiplicative on M2 (basis e11, e12,
+# e21, e22).  Doubling e11 moves e_0, so it stays out of the split search,
+# and the orbit closure meets it.
+MOVES_E0 = ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+# Doubling e12 fixes e_0, so it joins the split search, and its images fail
+# their leaf check.
+FIXES_E0 = ((1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
-def _with_bad_automorphism(monkeypatch):
-    # scaling e12 alone is invertible but not multiplicative on M2
+def _with_bad_automorphism(monkeypatch, bad):
     real = orbits._automorphisms
-    bad = ((1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     monkeypatch.setattr(orbits, "_automorphisms", lambda ia: real(ia) + [bad])
 
 
+def _classify_m2_f3_w0():
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["classify", "--algebra", str(FIXTURES / "m2_f3.alg"), "--weight", "0"]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def test_orbit_escape_raises(monkeypatch):
-    _with_bad_automorphism(monkeypatch)
+    _with_bad_automorphism(monkeypatch, MOVES_E0)
     a = matrix_algebra(F3, 2)
     with pytest.raises(OrbitEscapeError, match="leaves the 89 operators"):
         orbit_classify(a, 0)
 
 
 def test_orbit_escape_exits_2(monkeypatch):
-    _with_bad_automorphism(monkeypatch)
-    out, err = io.StringIO(), io.StringIO()
-    argv = ["classify", "--algebra", str(FIXTURES / "m2_f3.alg"), "--weight", "0"]
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        assert main(argv) == 2
-    assert out.getvalue() == ""
-    assert err.getvalue().startswith("error: the orbit of operator ")
+    _with_bad_automorphism(monkeypatch, MOVES_E0)
+    code, out, err = _classify_m2_f3_w0()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the orbit of operator ")
+
+
+def test_bad_move_fixing_e0_rejects_a_leaf(monkeypatch):
+    _with_bad_automorphism(monkeypatch, FIXES_E0)
+    with pytest.raises(LeafRejectedError, match="fails its leaf check"):
+        orbit_classify(matrix_algebra(F3, 2), 0)
+    code, out, err = _classify_m2_f3_w0()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: search leaf ")
 
 
 # --- one automorphism search per command ---------------------------------------
@@ -366,7 +386,9 @@ def _record_rb_searches(monkeypatch) -> list:
 def test_t6_searches_operators_once(monkeypatch):
     calls = _record_rb_searches(monkeypatch)
     assert verify_claim("T6-soundness").ok
-    assert [len(pools[0]) for pools in calls] == [81]
+    # 20 of the 81 values of R(e11): M2's unit is not e_0, but the moves
+    # that fix e11 still split the search
+    assert [len(pools[0]) for pools in calls] == [20]
 
 
 def test_classify_runs_the_split_search(monkeypatch):

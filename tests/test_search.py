@@ -11,6 +11,7 @@ from rbx.algebras import (
     jordan_form,
     kaplansky3,
     matrix_algebra,
+    sl2,
     termwise_power,
 )
 from rbx.errors import SearchSpaceTooLargeError, UnsupportedFieldError
@@ -173,7 +174,7 @@ def test_pack_columns_row_major():
     assert pack_columns(cols, 2) == (1, 3, 2, 4)
 
 
-# --- one orbit of R(1) at a time -----------------------------------------------
+# --- one orbit of R(e_0) at a time --------------------------------------------
 
 
 def _fixture(name):
@@ -205,8 +206,15 @@ def _without_unit_line(a):
     return Algebra(a.field, a.name, a.basis, table)
 
 
-# algebras whose unit is e_0, declared or not
-UNIT_AT_E0 = {
+def _false_unit_tp2():
+    # u1 is declared the unit of TP2, but u1 * u2 = 0; the swap of u1 and u2
+    # is an automorphism that moves u1 (the parser rejects such an algebra,
+    # so it is built here)
+    return Algebra(F3, "TP2", ("u1", "u2"), [[(1, 0), (0, 0)], [(0, 0), (0, 1)]], unit=(1, 0))
+
+
+ALGEBRAS = {
+    # the unit is e_0, declared or not: every move fixes it
     "gr2_f3": lambda: grassmann2(F3),
     "gr2_f3_undeclared": lambda: _without_unit_line(grassmann2(F3)),
     "j11_f3": lambda: jordan_form(F3, [1, 1]),
@@ -214,6 +222,13 @@ UNIT_AT_E0 = {
     "j3_f5": lambda: _fixture("j3_f5"),
     "tp1_f3": lambda: termwise_power(F3, 1),
     "cd11_f3": lambda: cayley_dickson(F3, [F3.one, F3.one]),
+    # the unit is not e_0, or there is none: only some moves fix e_0
+    "m2_f3": lambda: matrix_algebra(F3, 2),
+    "tp4_f2": lambda: termwise_power(F2, 4),
+    "k3_f3": lambda: kaplansky3(F3),
+    "k3_f5": lambda: kaplansky3(F5),
+    "sl2_f5": lambda: sl2(F5),
+    "tp2_f3_false_unit": _false_unit_tp2,
 }
 
 
@@ -223,14 +238,16 @@ UNIT_AT_E0 = {
         ("gr2_f3", 0), ("gr2_f3", 1), ("gr2_f3_undeclared", 0), ("gr2_f3_undeclared", 1),
         ("j11_f3", 1), ("j11_f5", 0), ("j11_f5", 1),
         ("j3_f5", 0), ("j3_f5", 1), ("tp1_f3", 0), ("tp1_f3", 1), ("cd11_f3", 0), ("cd11_f3", 1),
+        ("m2_f3", 0), ("m2_f3", 1), ("tp4_f2", 1), ("k3_f3", 0), ("k3_f3", 1), ("k3_f5", 0),
+        ("sl2_f5", 0), ("sl2_f5", 1),
+        ("tp2_f3_false_unit", 0), ("tp2_f3_false_unit", 1), ("tp2_f3_false_unit", 2),
     ],
 )
 def test_orbit_split_equals_plain_search(name, weight):
-    # column 0 is searched one orbit at a time, the rest are images; on Gr2
-    # at weight 0 and on CD(1,1) some operators have R(1) outside the span
-    # of 1, so they come out as images
-    a = UNIT_AT_E0[name]()
-    assert search._unit_at_e0(search.IntAlgebra(a))
+    # column 0 is searched one orbit at a time under the moves that fix e_0,
+    # the rest are images; on Gr2 at weight 0 and on CD(1,1) some operators
+    # have R(1) outside the span of 1, so they come out as images
+    a = ALGEBRAS[name]()
     assert packed(enumerate_rb(a, weight)) == _plain(a, weight)
 
 
@@ -245,36 +262,91 @@ def test_orbit_split_searches_one_value_per_orbit(monkeypatch, weight, orbits):
     assert calls[0][1:] == search._full_pools(search.IntAlgebra(grassmann2(F3)), False)[1:]
 
 
-# M2 and TP4 have a unit that is not e_0, K3 has none
-NO_UNIT_AT_E0 = {
-    "m2_f3": lambda: matrix_algebra(F3, 2),
-    "tp4_f2": lambda: termwise_power(F2, 4),
-    "k3_f3": lambda: kaplansky3(F3),
-}
-
-
-@pytest.mark.parametrize("name,weight,count", [("m2_f3", 0, 89), ("tp4_f2", 1, 2000), ("k3_f3", 1, 74)])
-def test_plain_search_without_unit_at_e0(monkeypatch, name, weight, count):
-    a = NO_UNIT_AT_E0[name]()
+@pytest.mark.parametrize(
+    "name,weight,count,column0",
+    [
+        ("m2_f3", 0, 89, 20), ("m2_f3", 1, 290, 36), ("k3_f3", 1, 74, 6), ("k3_f5", 0, 145, 4),
+        ("tp4_f2", 1, 2000, 8), ("sl2_f5", 1, 392, 35),
+    ],
+)
+def test_stabiliser_split_column0(monkeypatch, name, weight, count, column0):
+    # M2 and TP4 have a unit that is not e_0, K3 and sl2 have none: column 0
+    # runs over one value per orbit of the moves that fix e_0, out of p^dim
+    a = ALGEBRAS[name]()
     calls = _record_rb_searches(monkeypatch)
-    autos = []
-    monkeypatch.setattr(search, "_automorphisms", lambda ia: autos.append(ia))
     assert len(enumerate_rb(a, weight)) == count
-    assert calls == [search._full_pools(search.IntAlgebra(a), False)]
-    assert autos == []
+    assert len(calls) == 1
+    assert len(calls[0][0]) == column0
+    assert calls[0][1:] == search._full_pools(search.IntAlgebra(a), False)[1:]
 
 
 @pytest.mark.parametrize("weight", [0, 1, 2])
 def test_false_unit_line_takes_plain_search(monkeypatch, weight):
-    # u1 is declared the unit of TP2, but u1 * u2 = 0; the swap of u1 and u2
-    # is an automorphism that moves u1, so the split would be wrong (the
-    # parser rejects such an algebra, so it is built here)
-    a = Algebra(F3, "TP2", ("u1", "u2"), [[(1, 0), (0, 0)], [(0, 0), (0, 1)]], unit=(1, 0))
+    # the swap of u1 and u2 moves e_0 = u1, so it never joins the split: at
+    # weights 1 and 2 no other move fixes e_0 and column 0 runs over all 9
+    # values; at weight 0 only the scalars split it, into 5 orbits
+    a = _false_unit_tp2()
     expected = _plain(a, weight)
     assert len(expected) == (1 if weight == 0 else 12)
+    splits = []
+    real = search._checked_leaves
+
+    def recording(ia, pair, auto, moves=()):
+        splits.append(moves)
+        return real(ia, pair, auto, moves)
+
+    monkeypatch.setattr(search, "_checked_leaves", recording)
     calls = _record_rb_searches(monkeypatch)
-    autos = []
-    monkeypatch.setattr(search, "_automorphisms", lambda ia: autos.append(ia))
     assert packed(enumerate_rb(a, weight)) == expected
-    assert calls == [search._full_pools(search.IntAlgebra(a), False)]
-    assert autos == []
+    assert [len(pools[0]) for pools in calls] == [5 if weight == 0 else 9]
+    # the last search is the operator search: the swap is left out, and only
+    # the identity (times each scalar at weight 0) splits it
+    assert [right_t for _, right_t in splits[-1]] == [((1, 0), (0, 1))] * (2 if weight == 0 else 1)
+
+
+# --- metamorphic twins ------------------------------------------------------
+
+
+def _isomorphism(src, dst):
+    """The first isomorphism src -> dst, as a Matrix, by the search engine
+    with dst's product on the images; checked with FieldElement arithmetic."""
+    ia, ib = search.IntAlgebra(src), search.IntAlgebra(dst)
+
+    def pair(cols, i, j):
+        return ia.tvec[i][j], ib.product(cols[i], cols[j])
+
+    found = search._search(ia, pair, search._full_pools(ia, auto=True))
+    cols = next(cols for cols in found if search._inverse_mod_p(cols, ia.p) is not None)
+    psi = Matrix.from_columns(src.field, cols)
+    for i in range(src.dim):
+        for j in range(src.dim):
+            image = dst.product_vec(psi.column(i), psi.column(j))
+            assert psi.apply(src.table_vector(i, j)) == image
+    return psi
+
+
+@pytest.mark.parametrize("weight,count", [(0, 89), (1, 290), (2, 290)])
+def test_cd11_twin_of_m2_f3(weight, count):
+    # every quaternion algebra over a finite field splits: psi^-1 R psi is an
+    # operator on CD(1,1) exactly when R is one on M2.  CD(1,1) has its unit
+    # at e_0, so every move splits its search; M2 is split by the moves that
+    # fix e11 only
+    cd, m2 = cayley_dickson(F3, [F3.one, F3.one]), matrix_algebra(F3, 2)
+    psi = _isomorphism(cd, m2)
+    psi_inv = psi.inverse()
+    pulled = sorted(
+        tuple(x.value for row in (psi_inv * r.matrix * psi).data for x in row)
+        for r in enumerate_rb(m2, weight)
+    )
+    assert len(pulled) == count
+    assert pulled == packed(enumerate_rb(cd, weight))
+
+
+@pytest.mark.parametrize("name", ["m2_f3", "k3_f5"])
+def test_weight_scaling_twins(name):
+    # R has weight 1 exactly when cR has weight c
+    a = ALGEBRAS[name]()
+    p = a.field.p
+    ones = packed(enumerate_rb(a, 1))
+    for c in range(2, p):
+        assert packed(enumerate_rb(a, c)) == sorted(tuple(c * x % p for x in key) for key in ones)
