@@ -8,8 +8,10 @@ is listed in full, so each orbit is the set of images of one operator
 under every group element, computed in plain integer arithmetic; the
 canonical representative is the row-major smallest member.
 orbit_classify searches the automorphisms once, builds the group from them
-(search._rb_moves), and partitions the leaves of the operator search split
-by the moves of that group that fix e_0 (search._rb_leaves).
+(search._rb_moves), and partitions the leaves of the operator search.  That
+search is split by the stabiliser chain of the moves that fix e_0, with
+phi(R) = -R - w id added at weight w != 0 (search._rb_leaves); phi is used
+by the search only, and the orbits are orbits of the group without it.
 
 The claims form one table, CLAIMS: each row names the primes and weight
 its claim runs over, and the phrase `rbx verify` prints when it holds.
@@ -121,8 +123,9 @@ def orbit_classify(a: Algebra, weight) -> OrbitReport:
     three moves.
 
     The moves come from one automorphism search, and the operator search
-    is split by those of them that fix e_0.  An image of an operator that
-    is not itself an operator raises OrbitEscapeError.
+    is split by the stabiliser chain of those of them that fix e_0 (with
+    phi at weight != 0); the orbits are taken without phi.  An image of an
+    operator that is not itself an operator raises OrbitEscapeError.
     """
     ia = IntAlgebra(a)
     p, dim = ia.p, ia.dim

@@ -17,25 +17,29 @@ assigned in index order and candidate values are tried in lexicographic
 order, so the result list is deterministic; a raw enumerator with none of
 this machinery double-checks the pruned one on small spaces.
 
-Rota-Baxter operators are searched modulo a group on every algebra.  The
-moves (conjugation by every automorphism, by the recorded
-antiautomorphism, and at weight 0 scaling by every nonzero scalar; the
-group orbit_classify sorts operators by) map operators to operators.  A
-move R -> left * R * right whose right factor fixes e_0 sends an operator
-with R(e_0) = v bijectively to one with R(e_0) = left * v, and the moves
-that fix e_0 form a group, the stabiliser of e_0.  Column 0 therefore runs
-over one value per orbit of v -> left * v under that stabiliser, in one
-search; every operator with another value u of R(e_0) is the image of a
-leaf under the first move that reaches u (McKay, Isomorph-free exhaustive
-generation, J. Algorithms 26, 1998).  When e_0 is the unit every move
-fixes it; when no move but the identity does, the search is the plain one.
-Automorphisms and derivations take the plain search.
+Rota-Baxter operators are searched modulo a group on every algebra, by
+its stabiliser chain.  The moves (conjugation by every automorphism, by
+the recorded antiautomorphism, and at weight 0 scaling by every nonzero
+scalar; the group orbit_classify sorts operators by) map operators to
+operators, and so, at weight w != 0, does phi(R) = -R - w id, which the
+search adds to them.  A move R -> left * R * right + offset * I whose right
+factor fixes e_0..e_c and which fixes the columns R(e_0)..R(e_{c-1})
+already chosen sends the operators that have those columns and
+R(e_c) = v bijectively to those that have them and
+R(e_c) = left * v + offset * e_c, and such moves form a group.  So
+every column runs over one value per orbit of that group, and every
+operator with another value u is the image of a result below the searched
+value under the first move that reaches u (McKay, Isomorph-free exhaustive
+generation, J. Algorithms 26, 1998).  The next column runs under the moves
+that also fix the chosen value and e_{c+1}.  When no move but the identity
+is left, the search below is the plain one.  Automorphisms and derivations
+take the plain search.
 
-All arithmetic here runs on plain integer residues.  Each leaf the search
-reaches, and each image of one, is checked once, on residues, against the
-relation of every ordered basis pair (_leaf_ok); a leaf that fails, a
-move that does not fix e_0, or a result found twice is an internal error
-and raises LeafRejectedError.
+All arithmetic here runs on plain integer residues.  Each result, searched
+or image, is checked once, on residues, against the relation of every
+ordered basis pair (_leaf_ok); a result that fails, a move that does not
+fix e_0, or a result found twice is an internal error and raises
+LeafRejectedError.
 Only then do matrices become FieldElement objects, through constructors
 that do not check them again.
 """
@@ -143,13 +147,31 @@ def _new_pairs(dim: int, commutative: bool):
     return out
 
 
-def _search(ia: IntAlgebra, pair, pools) -> list:
-    """All full column assignments meeting the relation of every basis pair."""
+def _search(ia: IntAlgebra, pair, pools, moves=()) -> list:
+    """All full column assignments meeting the relation of every basis pair.
+
+    With no moves this is the plain search, the oracle the split one is
+    tested against.  Otherwise moves is a group of (left, right^T, offset)
+    moves that map results to results and whose right factors fix e_0, and
+    the search is split by its stabiliser chain.  Column c runs under the
+    moves whose right factor fixes e_0..e_c and which fix the columns
+    already chosen; they act on column c by v -> left * v + offset * e_c.
+    Only the first passing value of each orbit is searched, and every
+    result below it brings its images under the first move that reaches
+    each other member of the orbit (_orbit).  Column c + 1 runs under the
+    moves among these that fix the searched value and e_{c+1}.
+    """
     pair_plan = _new_pairs(ia.dim, ia.commutative)
     pool_sets = [frozenset(pool) for pool in pools]
     dim, p = ia.dim, ia.p
+    # image columns are the pool's own tuples, as searched columns are
+    shared = {v: v for pool in pools for v in pool} if moves else {}
 
-    def extend(c, cols, pending, results):
+    def image(move, cols):
+        packed = _conjugate(p, move, cols)
+        return tuple(shared.get(col, col) for col in (packed[j::dim] for j in range(dim)))
+
+    def extend(c, cols, pending, group, results):
         forced = None
         for sup, res in pending:
             if len(sup) == 1 and c in sup:
@@ -160,7 +182,12 @@ def _search(ia: IntAlgebra, pair, pools) -> list:
             candidates = (forced,) if forced in pool_sets[c] else ()
         else:
             candidates = pools[c]
+        # the identity alone splits nothing
+        split = len(group) > 1
+        reached: set = set()
         for col in candidates:
+            if col in reached:
+                continue
             ok = True
             pending2 = []
             for sup, res in pending:
@@ -200,14 +227,45 @@ def _search(ia: IntAlgebra, pair, pools) -> list:
                 else:
                     pending2.append((sup, tuple(res)))
             if ok:
+                # only a passing value's orbit is marked: a value that fails
+                # here has no results below it, so by the bijection neither
+                # has any member of its orbit, and marking it would be waste
+                reach, sub = _orbit(p, c, col, group) if split else ({}, group)
+                reached.update(reach)
+                start = len(results)
                 if c == dim - 1:
                     results.append(tuple(cols))
                 else:
-                    extend(c + 1, cols, pending2, results)
+                    sub = [move for move in sub if _fixes(move, c + 1)]
+                    extend(c + 1, cols, pending2, sub, results)
+                if reach:
+                    below = results[start:]
+                    for move in reach.values():
+                        results.extend(image(move, found) for found in below)
             cols[c] = None
         return results
 
-    return extend(0, [None] * dim, [], [])
+    return extend(0, [None] * dim, [], moves, [])
+
+
+def _orbit(p: int, c: int, v: tuple, group) -> tuple:
+    """The orbit of column value v under v -> left * v + offset * e_c.
+
+    Returns the first move of group reaching each other member, and the
+    stabiliser of v: the moves that send v to itself.
+    """
+    reach = {}
+    stabiliser = []
+    for move in group:
+        left, _, offset = move
+        u = [sum(map(mul, row, v)) for row in left]
+        u[c] += offset
+        u = tuple(x % p for x in u)
+        if u == v:
+            stabiliser.append(move)
+        elif u not in reach:
+            reach[u] = move
+    return reach, stabiliser
 
 
 def pack_columns(cols, dim: int) -> tuple:
@@ -298,9 +356,10 @@ def _matmul(p: int, a: tuple, b: tuple) -> tuple:
 
 
 def _moves(p: int, autos: list, antiauto=None, scalars=(1,)) -> list:
-    """The group generated by the moves, as (left, right^T) residue pairs.
+    """The group generated by the moves, as (left, right^T, 0) residue moves.
 
-    A move sends R to left * R * right.  autos must be the whole
+    A move (left, right^T, offset) sends R to left * R * right + offset * I;
+    the moves built here have offset 0.  autos must be the whole
     automorphism group, as residue columns (_automorphisms).  An
     antiautomorphism t normalises it and t*t is an automorphism, so Aut and
     t*Aut together are closed under composition; scalars commute with
@@ -313,7 +372,7 @@ def _moves(p: int, autos: list, antiauto=None, scalars=(1,)) -> list:
         tinv = _inverse_mod_p(t, p)
         pairs += [(_matmul(p, t, inv), _matmul(p, h, tinv)) for inv, h in pairs]
     return [
-        (tuple(tuple(s * x % p for x in row) for row in left), tuple(zip(*right)))
+        (tuple(tuple(s * x % p for x in row) for row in left), tuple(zip(*right)), 0)
         for left, right in pairs
         for s in scalars
     ]
@@ -331,73 +390,40 @@ def _rb_moves(a: Algebra, w, autos: list) -> list:
     return _moves(p, autos, a.antiauto, scalars)
 
 
-def _fixes_e0(move: tuple) -> bool:
-    """Whether the right factor of a move sends e_0 to e_0."""
-    return move[1][0] == (1,) + (0,) * (len(move[1]) - 1)
+def _fixes(move: tuple, j: int) -> bool:
+    """Whether the right factor of a move sends e_j to e_j."""
+    right_t = move[1]
+    return right_t[j] == tuple(int(k == j) for k in range(len(right_t)))
 
 
 def _conjugate(p: int, move: tuple, cols: tuple) -> tuple:
-    """The packed rows of left * R * right, for R given by its columns."""
-    left, right_t = move
+    """The packed rows of left * R * right + offset * I, for R given by its
+    columns."""
+    left, right_t, offset = move
     lr = [[sum(map(mul, row, col)) for col in cols] for row in left]
-    return tuple(sum(map(mul, row, col)) % p for row in lr for col in right_t)
-
-
-def _cosets(p: int, pool: list, moves) -> dict:
-    """One representative per orbit of v -> left * v on pool, in pool order.
-
-    Each representative maps to the first move reaching each other member
-    of its orbit; with no moves every value is its own representative.
-    """
-    seen: set = set()
-    cosets = {}
-    for v in pool:
-        if v in seen:
-            continue
-        seen.add(v)
-        reach = cosets[v] = []
-        for move in moves:
-            u = tuple(sum(map(mul, row, v)) % p for row in move[0])
-            if u not in seen:
-                seen.add(u)
-                reach.append(move)
-    return cosets
-
-
-def _images(ia: IntAlgebra, found: list, cosets: dict) -> list:
-    """The images of the leaves onto the other members of their orbits.
-
-    Every move fixes e_0 (_checked_leaves), so an image's R(e_0) is the
-    member left * R(e_0) its move was chosen for.
-    """
-    dim = ia.dim
-    out = []
-    for cols in found:
-        for move in cosets.get(cols[0], ()):
-            packed = _conjugate(ia.p, move, cols)
-            out.append(tuple(packed[j::dim] for j in range(dim)))
-    return out
+    packed = tuple(sum(map(mul, row, col)) % p for row in lr for col in right_t)
+    if not offset:
+        return packed
+    step = len(cols) + 1
+    return tuple((x + offset) % p if k % step == 0 else x for k, x in enumerate(packed))
 
 
 def _checked_leaves(ia: IntAlgebra, pair, auto: bool, moves=()) -> list:
-    """Search, sort row-major, and check every leaf once on residues.
+    """Search, sort row-major, and check every result once on residues.
 
-    With moves, a group that fixes e_0, column 0 runs over one representative
-    per orbit only; each leaf found then brings its images under the moves
-    onto the other members of its orbit.  A move that does not fix e_0
-    would break the split, so it raises LeafRejectedError before the search.
+    moves, a group that fixes e_0, splits the search by its stabiliser
+    chain (_search).  A move that does not fix e_0 would break the split,
+    so it raises LeafRejectedError before the search.  After it, a result
+    found twice and any result, searched or image, that fails _leaf_ok
+    raise it too.
     """
     for move in moves:
-        if not _fixes_e0(move):
+        if not _fixes(move, 0):
             raise LeafRejectedError(
                 f"a move on {ia.algebra.name} sends e_0 to {move[1][0]}, "
                 "but the orbit split needs every move to fix e_0"
             )
-    pools = _full_pools(ia, auto)
-    cosets = _cosets(ia.p, pools[0], moves)
-    pools[0] = list(cosets)
-    found = _search(ia, pair, pools)
-    found += _images(ia, found, cosets)
+    found = _search(ia, pair, _full_pools(ia, auto), moves)
     found.sort(key=lambda cols: pack_columns(cols, ia.dim))
     prev = None
     for cols in found:
@@ -418,9 +444,20 @@ def _rb_leaves(ia: IntAlgebra, w, moves) -> list:
     """Every operator of weight w as checked residue columns, sorted.
 
     The moves (_rb_moves) that fix e_0 are closed under composition, so they
-    form a group, the stabiliser of e_0, and split the search on any algebra.
+    form a group, the stabiliser of e_0, which splits the search by its
+    stabiliser chain on any algebra.  At w != 0 the reflection
+    phi(R) = -R - w * I joins it: phi commutes with every conjugation and
+    left * right = I for every move, so phi o (left, right^T, 0) is
+    (-left, right^T, -w) and the moves with these still form a group.
+    orbit_classify sorts by the group without phi.
     """
-    stabiliser = [move for move in moves if _fixes_e0(move)]
+    p = ia.p
+    stabiliser = [move for move in moves if _fixes(move, 0)]
+    if w.value:
+        stabiliser += [
+            (tuple(tuple(-x % p for x in row) for row in left), right_t, -w.value % p)
+            for left, right_t, _ in stabiliser
+        ]
     return _checked_leaves(ia, partial(_rb_pair, ia, w.value), auto=False, moves=stabiliser)
 
 
@@ -434,7 +471,8 @@ def _rb_operators(a: Algebra, w, found) -> list[RBOperator]:
 def enumerate_rb(a: Algebra, weight) -> list[RBOperator]:
     """All Rota-Baxter operators of the given weight, sorted row-major.
 
-    The search is split by the moves that fix e_0 (_rb_leaves).
+    The search is split by the stabiliser chain of the moves that fix e_0,
+    with phi at weight != 0 (_rb_leaves).
     """
     ia = IntAlgebra(a)
     w = coerce_weight(a.field, weight)

@@ -240,7 +240,7 @@ def test_inverse_mod_p_singular():
 
 
 def corrupt_search(monkeypatch, cols):
-    monkeypatch.setattr(search, "_search", lambda ia, pair, pools: [cols])
+    monkeypatch.setattr(search, "_search", lambda ia, pair, pools, moves=(): [cols])
 
 
 def test_rejected_rb_leaf_raises(monkeypatch):
@@ -296,7 +296,7 @@ def test_image_off_its_target_raises():
 def test_leaf_found_twice_raises(monkeypatch):
     ia = load("k3_f3")
     cols = ((0, 0, 0),) * 3
-    monkeypatch.setattr(search, "_search", lambda ia, pair, pools: [cols, cols])
+    monkeypatch.setattr(search, "_search", lambda ia, pair, pools, moves=(): [cols, cols])
     with pytest.raises(LeafRejectedError, match="found twice"):
         enumerate_rb(ia.algebra, 1)
 

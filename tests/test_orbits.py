@@ -31,6 +31,8 @@ from rbx.orbits import (
 from rbx.rb import LinearOperator, weight0_matrix_ops
 from rbx.search import enumerate_automorphisms, enumerate_rb
 
+from split_oracle import column0_orbits, column0_searched, record_rb_searches
+
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 RUN_CLAIMS = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_claims.py"
 
@@ -240,7 +242,7 @@ def test_moves_closed_under_composition():
     # (automorphisms, transposition, scalars) are already the whole group
     a = matrix_algebra(F3, 2)
     moves = search._moves(3, search._automorphisms(search.IntAlgebra(a)), a.antiauto, (1, 2))
-    pairs = {(left, tuple(zip(*right_t))) for left, right_t in moves}
+    pairs = {(left, tuple(zip(*right_t))) for left, right_t, _ in moves}
     assert len(pairs) == len(moves) == 24 * 2 * 2
     for l1, r1 in pairs:
         for l2, r2 in pairs:
@@ -369,30 +371,23 @@ def test_one_automorphism_search_per_command(monkeypatch, argv):
     assert len(calls) == 1
 
 
-def _record_rb_searches(monkeypatch) -> list:
-    # the column pools of every operator search
-    calls = []
-    real = search._search
-
-    def recording(ia, pair, pools):
-        if pair.func is search._rb_pair:
-            calls.append(pools)
-        return real(ia, pair, pools)
-
-    monkeypatch.setattr(search, "_search", recording)
-    return calls
-
-
 def test_t6_searches_operators_once(monkeypatch):
-    calls = _record_rb_searches(monkeypatch)
+    # M2's unit is not e_0, but the moves that fix e11 still split the
+    # search: the 81 values of R(e11) fall into 20 orbits
+    m2 = matrix_algebra(F3, 2)
+    assert len(column0_orbits(m2, 0, phi=False)) == 20
+    column0 = column0_searched(m2, 0)
+    calls = record_rb_searches(monkeypatch)
     assert verify_claim("T6-soundness").ok
-    # 20 of the 81 values of R(e11): M2's unit is not e_0, but the moves
-    # that fix e11 still split the search
-    assert [len(pools[0]) for pools in calls] == [20]
+    assert calls == [column0]
 
 
 def test_classify_runs_the_split_search(monkeypatch):
-    # Gr2/F3 has its unit at e_0: at weight 0 column 0 runs over 6 of 81 values
-    calls = _record_rb_searches(monkeypatch)
-    assert len(orbit_classify(grassmann2(F3), 0).operators) == 315
-    assert [len(pools[0]) for pools in calls] == [6]
+    # Gr2/F3 has its unit at e_0: at weight 0 the 81 values of R(1) fall
+    # into 6 orbits
+    gr2 = grassmann2(F3)
+    assert len(column0_orbits(gr2, 0, phi=False)) == 6
+    column0 = column0_searched(gr2, 0)
+    calls = record_rb_searches(monkeypatch)
+    assert len(orbit_classify(gr2, 0).operators) == 315
+    assert calls == [column0]

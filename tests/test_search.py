@@ -28,6 +28,8 @@ from rbx.search import (
     pack_columns,
 )
 
+from split_oracle import column0_orbits, column0_searched, record_rb_searches
+
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
 F2 = PrimeField(2, allow_char2=True)
@@ -188,19 +190,6 @@ def _plain(a, weight):
     return sorted(pack_columns(cols, ia.dim) for cols in found)
 
 
-def _record_rb_searches(monkeypatch):
-    calls = []
-    real = search._search
-
-    def recording(ia, pair, pools):
-        if pair.func is search._rb_pair:
-            calls.append(pools)
-        return real(ia, pair, pools)
-
-    monkeypatch.setattr(search, "_search", recording)
-    return calls
-
-
 def _without_unit_line(a):
     table = [[a.table_vector(i, j) for j in range(a.dim)] for i in range(a.dim)]
     return Algebra(a.field, a.name, a.basis, table)
@@ -241,25 +230,29 @@ ALGEBRAS = {
         ("m2_f3", 0), ("m2_f3", 1), ("tp4_f2", 1), ("k3_f3", 0), ("k3_f3", 1), ("k3_f5", 0),
         ("sl2_f5", 0), ("sl2_f5", 1),
         ("tp2_f3_false_unit", 0), ("tp2_f3_false_unit", 1), ("tp2_f3_false_unit", 2),
+        ("gr2_f3", 2), ("m2_f3", 2), ("k3_f5", 1),
     ],
 )
 def test_orbit_split_equals_plain_search(name, weight):
-    # column 0 is searched one orbit at a time under the moves that fix e_0,
-    # the rest are images; on Gr2 at weight 0 and on CD(1,1) some operators
-    # have R(1) outside the span of 1, so they come out as images
+    # every column is searched one orbit at a time under the moves that fix
+    # e_0 and the columns before it (with phi at weight != 0), the rest are
+    # images; on Gr2 at weight 0 and on CD(1,1) some operators have R(1)
+    # outside the span of 1, so they come out as images
     a = ALGEBRAS[name]()
     assert packed(enumerate_rb(a, weight)) == _plain(a, weight)
 
 
 @pytest.mark.parametrize("weight,orbits", [(0, 6), (1, 9)])
 def test_orbit_split_searches_one_value_per_orbit(monkeypatch, weight, orbits):
-    # Aut(Gr2/F3) has 432 elements; at weight 0 the scalars join in
-    calls = _record_rb_searches(monkeypatch)
-    ops = enumerate_rb(grassmann2(F3), weight)
+    # Aut(Gr2/F3) has 432 elements; at weight 0 the scalars join in, at
+    # weight 1 phi does: its 9 orbits on R(1) merge into fewer
+    a = grassmann2(F3)
+    assert len(column0_orbits(a, weight, phi=False)) == orbits
+    calls = record_rb_searches(monkeypatch)
+    ops = enumerate_rb(a, weight)
     assert len(ops) == (315 if weight == 0 else 148)
-    assert len(calls) == 1
-    assert len(calls[0][0]) == orbits
-    assert calls[0][1:] == search._full_pools(search.IntAlgebra(grassmann2(F3)), False)[1:]
+    assert calls == [column0_searched(a, weight)]
+    assert len(calls[0]) < orbits
 
 
 @pytest.mark.parametrize(
@@ -270,24 +263,26 @@ def test_orbit_split_searches_one_value_per_orbit(monkeypatch, weight, orbits):
     ],
 )
 def test_stabiliser_split_column0(monkeypatch, name, weight, count, column0):
-    # M2 and TP4 have a unit that is not e_0, K3 and sl2 have none: column 0
-    # runs over one value per orbit of the moves that fix e_0, out of p^dim
+    # M2 and TP4 have a unit that is not e_0, K3 and sl2 have none: the
+    # moves that fix e_0 cut the p^dim values of R(e_0) into column0 orbits,
+    # and column 0 runs over the first passing value of each (with phi at
+    # weight != 0)
     a = ALGEBRAS[name]()
-    calls = _record_rb_searches(monkeypatch)
+    assert len(column0_orbits(a, weight, phi=False)) == column0
+    calls = record_rb_searches(monkeypatch)
     assert len(enumerate_rb(a, weight)) == count
-    assert len(calls) == 1
-    assert len(calls[0][0]) == column0
-    assert calls[0][1:] == search._full_pools(search.IntAlgebra(a), False)[1:]
+    assert calls == [column0_searched(a, weight)]
 
 
 @pytest.mark.parametrize("weight", [0, 1, 2])
 def test_false_unit_line_takes_plain_search(monkeypatch, weight):
-    # the swap of u1 and u2 moves e_0 = u1, so it never joins the split: at
-    # weights 1 and 2 no other move fixes e_0 and column 0 runs over all 9
-    # values; at weight 0 only the scalars split it, into 5 orbits
+    # the swap of u1 and u2 moves e_0 = u1, so it never joins the split:
+    # only the identity remains, times each scalar at weight 0 and with phi
+    # at weights 1 and 2
     a = _false_unit_tp2()
     expected = _plain(a, weight)
     assert len(expected) == (1 if weight == 0 else 12)
+    column0 = column0_searched(a, weight)
     splits = []
     real = search._checked_leaves
 
@@ -296,12 +291,22 @@ def test_false_unit_line_takes_plain_search(monkeypatch, weight):
         return real(ia, pair, auto, moves)
 
     monkeypatch.setattr(search, "_checked_leaves", recording)
-    calls = _record_rb_searches(monkeypatch)
+    calls = record_rb_searches(monkeypatch)
     assert packed(enumerate_rb(a, weight)) == expected
-    assert [len(pools[0]) for pools in calls] == [5 if weight == 0 else 9]
-    # the last search is the operator search: the swap is left out, and only
-    # the identity (times each scalar at weight 0) splits it
-    assert [right_t for _, right_t in splits[-1]] == [((1, 0), (0, 1))] * (2 if weight == 0 else 1)
+    assert calls == [column0]
+    # the last search is the operator search
+    assert [right_t for _, right_t, _ in splits[-1]] == [((1, 0), (0, 1))] * 2
+    assert [offset for _, _, offset in splits[-1]] == [0, 0 if weight == 0 else -weight % 3]
+
+
+@pytest.mark.parametrize(
+    "name,weight", [("gr2_f3", 1), ("m2_f3", 1), ("k3_f5", 1), ("j11_f5", 2)]
+)
+def test_operators_closed_under_phi(name, weight):
+    # phi(R) = -R - w id is an operator of weight w exactly when R is;
+    # apply_phi checks each image with the FieldElement checker
+    ops = enumerate_rb(ALGEBRAS[name](), weight)
+    assert sorted(packed(apply_phi(r) for r in ops)) == packed(ops)
 
 
 # --- metamorphic twins ------------------------------------------------------
