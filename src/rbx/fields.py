@@ -182,7 +182,8 @@ class Rationals(Field):
         return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
 
     def _parse(self, text):
-        if not re.fullmatch(r"-?\d+(/\d+)?", text):
+        # the denominator needs a nonzero digit
+        if not re.fullmatch(r"-?\d+(/0*[1-9]\d*)?", text):
             raise InvalidSpecError(f"bad rational literal {text!r}")
         return Fraction(text)
 

@@ -644,6 +644,8 @@ def rank_one_split_op(
         raise ConstraintViolatedError("defined for a two-dimensional form space")
     w = spec.weight
     av = as_vector(field, alpha)
+    if len(av) != 3:
+        raise DimensionMismatchError(f"alpha needs 3 entries, got {len(av)}")
     kc = coerce_weight(field, k)
     lc = coerce_weight(field, l)
     if vec_is_zero(av):

@@ -9,9 +9,9 @@ under every group element, computed in plain integer arithmetic; the
 canonical representative is the row-major smallest member.
 orbit_classify searches the automorphisms once, builds the group from them
 (search._rb_moves), and partitions the leaves of the operator search.  That
-search is split by the stabiliser chain of the moves that fix e_0, with
-phi(R) = -R - w id added at weight w != 0 (search._rb_leaves); phi is used
-by the search only, and the orbits are orbits of the group without it.
+search is split by the stabiliser chain of the group, with phi(R) =
+-R - w id added at weight w != 0 (search._rb_leaves); phi is used by the
+search only, and the orbits are orbits of the group without it.
 
 The claims form one table, CLAIMS: each row names the primes and weight
 its claim runs over, and the phrase `rbx verify` prints when it holds.
@@ -118,14 +118,26 @@ def pack_operator(r: RBOperator) -> tuple:
     return _pack_rows(_to_int_rows(r.matrix))
 
 
+def _orbits(p: int, moves: list, seeds):
+    """The orbit of each seed (residue columns) under the group moves, as
+    (packed seed, packed members), unless an earlier orbit holds the seed."""
+    seen: set = set()
+    for cols in seeds:
+        packed = pack_columns(cols, len(cols))
+        if packed not in seen:
+            members = frozenset(_conjugate(p, m, cols) for m in moves)
+            seen |= members
+            yield packed, members
+
+
 def orbit_classify(a: Algebra, weight) -> OrbitReport:
     """Every Rota-Baxter operator of the weight on a, in orbits under the
     three moves.
 
     The moves come from one automorphism search, and the operator search
-    is split by the stabiliser chain of those of them that fix e_0 (with
-    phi at weight != 0); the orbits are taken without phi.  An image of an
-    operator that is not itself an operator raises OrbitEscapeError.
+    is split by their stabiliser chain (with phi at weight != 0); the
+    orbits are taken without phi.  An image of an operator that is not
+    itself an operator raises OrbitEscapeError.
     """
     ia = IntAlgebra(a)
     p, dim = ia.p, ia.dim
@@ -133,23 +145,18 @@ def orbit_classify(a: Algebra, weight) -> OrbitReport:
     moves = _rb_moves(a, w, _automorphisms(ia))
     found = _rb_leaves(ia, w, moves)
     by_key = dict(zip((pack_columns(cols, dim) for cols in found), _rb_operators(a, w, found)))
-    seen: set = set()
     orbits = []
-    for cols, packed in zip(found, by_key):
-        if packed in seen:
-            continue
-        members = frozenset(_conjugate(p, m, cols) for m in moves)
+    # found is sorted and closed under the moves, so each orbit's seed is
+    # its smallest member
+    for rep, members in _orbits(p, moves, found):
         if not members <= by_key.keys():
             raise OrbitEscapeError(
-                f"the orbit of operator {matrix_hex(packed, p)} leaves the "
+                f"the orbit of operator {matrix_hex(rep, p)} leaves the "
                 f"{len(found)} operators being classified"
             )
-        seen |= members
-        rep = min(members)
         # each representative is checked once more, by the FieldElement checker
         rep_op = RBOperator(by_key[rep].operator, w)
         orbits.append(OrbitInfo(len(members), rep, matrix_hex(rep, p), _op_tags(rep_op), members))
-    orbits.sort(key=lambda o: o.rep)
     return OrbitReport(a.name, str(w), tuple(orbits), tuple(by_key.values()))
 
 
@@ -238,14 +245,8 @@ def _claim_m2_weight0(p: int, weight: int) -> tuple[bool, list[str]]:
 
 
 def _closure_of_patterns(p: int, autos: list, patterns) -> set:
-    moves = _moves(p, autos)
-    closure: set = set()
-    for rows in patterns:
-        # Aut is a group: a pattern already reached brings nothing new
-        if _pack_rows(rows) not in closure:
-            cols = tuple(zip(*rows))
-            closure.update(_conjugate(p, m, cols) for m in moves)
-    return closure
+    seeds = (tuple(zip(*rows)) for rows in patterns)
+    return set().union(*(members for _, members in _orbits(p, _moves(p, autos), seeds)))
 
 
 def _gr2_tail_patterns(p: int) -> list:

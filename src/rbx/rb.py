@@ -329,6 +329,8 @@ def left_mult_op(a: Algebra, e, lam) -> LinearOperator:
     to promote the map with RBOperator.
     """
     ev = e.coeffs if isinstance(e, Element) else as_vector(a.field, e)
+    if len(ev) != a.dim:
+        raise DimensionMismatchError(f"element needs {a.dim} entries, got {len(ev)}")
     w = coerce_weight(a.field, lam)
     if a.product_vec(ev, ev) != vec_scale(-w, ev):
         raise NotQuasiIdempotentError("element does not satisfy e*e = -lam*e")

@@ -10,12 +10,14 @@ relation v |-> u, "the map sends v to u", with both vectors known:
     derivation d    b_ib_j  |->  d(b_i)b_j + b_id(b_j) + w d(b_i)d(b_j)
 
 Each is stated once, by _rb_pair, _auto_pair and _derivation_pair.  The
-relation is the linear equation sum_m v[m] * column_m = u.  Equations whose
-unknown support is empty are consistency checks (prune on failure); support
-of size one forces the next column instead of enumerating it.  Columns are
-assigned in index order and candidate values are tried in lexicographic
-order, so the result list is deterministic; a raw enumerator with none of
-this machinery double-checks the pruned one on small spaces.
+relation is the linear equation sum_m v[m] * column_m = u, and the last
+column d with v[d] != 0 decides it.  A relation whose d is already assigned
+is a consistency check (prune on failure); any other is filed under d, and
+at column d it forces the value instead of enumerating the pool.  Columns
+are assigned in index order and candidate values are tried in
+lexicographic order, so the result list is deterministic; a raw
+enumerator with none of this machinery double-checks the pruned one on
+small spaces.
 
 Rota-Baxter operators are searched modulo a group on every algebra, by
 its stabiliser chain.  The moves (conjugation by every automorphism, by
@@ -37,9 +39,8 @@ take the plain search.
 
 All arithmetic here runs on plain integer residues.  Each result, searched
 or image, is checked once, on residues, against the relation of every
-ordered basis pair (_leaf_ok); a result that fails, a move that does not
-fix e_0, or a result found twice is an internal error and raises
-LeafRejectedError.
+ordered basis pair (_leaf_ok); a result that fails or a result found twice
+is an internal error and raises LeafRejectedError.
 Only then do matrices become FieldElement objects, through constructors
 that do not check them again.
 """
@@ -150,20 +151,26 @@ def _new_pairs(dim: int, commutative: bool):
 def _search(ia: IntAlgebra, pair, pools, moves=()) -> list:
     """All full column assignments meeting the relation of every basis pair.
 
+    A relation is filed under its last unknown column d, with the columns
+    known when it came up subtracted; at column d every relation filed
+    there fixes the column by itself, and they must agree on a pool value.
     With no moves this is the plain search, the oracle the split one is
     tested against.  Otherwise moves is a group of (left, right^T, offset)
-    moves that map results to results and whose right factors fix e_0, and
-    the search is split by its stabiliser chain.  Column c runs under the
-    moves whose right factor fixes e_0..e_c and which fix the columns
-    already chosen; they act on column c by v -> left * v + offset * e_c.
-    Only the first passing value of each orbit is searched, and every
-    result below it brings its images under the first move that reaches
-    each other member of the orbit (_orbit).  Column c + 1 runs under the
-    moves among these that fix the searched value and e_{c+1}.
+    moves that map results to results, and the search is split by its
+    stabiliser chain.  Column c runs under the moves whose right factor
+    fixes e_0..e_c and which fix the columns already chosen; they act on
+    column c by v -> left * v + offset * e_c.  Only the first passing value
+    of each orbit is searched, and every result below it brings its images
+    under the first move that reaches each other member of the orbit
+    (_orbit).  Column c + 1 runs under the moves among these that fix the
+    searched value and e_{c+1}.
     """
     pair_plan = _new_pairs(ia.dim, ia.commutative)
     pool_sets = [frozenset(pool) for pool in pools]
     dim, p = ia.dim, ia.p
+    # due[d]: (c, v, rest) for each relation whose last unknown column is d,
+    # rest being u minus the columns up to c, those known when it came up
+    due: list = [[] for _ in range(dim)]
     # image columns are the pool's own tuples, as searched columns are
     shared = {v: v for pool in pools for v in pool} if moves else {}
 
@@ -171,15 +178,26 @@ def _search(ia: IntAlgebra, pair, pools, moves=()) -> list:
         packed = _conjugate(p, move, cols)
         return tuple(shared.get(col, col) for col in (packed[j::dim] for j in range(dim)))
 
-    def extend(c, cols, pending, group, results):
-        forced = None
-        for sup, res in pending:
-            if len(sup) == 1 and c in sup:
-                inv = pow(sup[c], p - 2, p)
-                forced = tuple(r * inv % p for r in res)
-                break
-        if forced is not None:
-            candidates = (forced,) if forced in pool_sets[c] else ()
+    def forced(c, cols):
+        """The value every relation due at c fixes, or None if two differ."""
+        value = None
+        for known, v, rest in due[c]:
+            for m in range(known + 1, c):
+                cm = v[m]
+                if cm:
+                    rest = [r - cm * x for r, x in zip(rest, cols[m])]
+            inv = pow(v[c], p - 2, p)
+            col = tuple(r * inv % p for r in rest)
+            if value is None:
+                value = col
+            elif col != value:
+                return None
+        return value
+
+    def extend(c, cols, group, results):
+        if due[c]:
+            col = forced(c, cols)
+            candidates = (col,) if col in pool_sets[c] else ()
         else:
             candidates = pools[c]
         # the identity alone splits nothing
@@ -188,44 +206,25 @@ def _search(ia: IntAlgebra, pair, pools, moves=()) -> list:
         for col in candidates:
             if col in reached:
                 continue
-            ok = True
-            pending2 = []
-            for sup, res in pending:
-                if c in sup:
-                    coeff = sup[c]
-                    res2 = tuple((r - coeff * x) % p for r, x in zip(res, col))
-                    if len(sup) == 1:
-                        if any(res2):
-                            ok = False
-                            break
-                    else:
-                        sup2 = dict(sup)
-                        del sup2[c]
-                        pending2.append((sup2, res2))
-                else:
-                    pending2.append((sup, res))
-            if not ok:
-                continue
             cols[c] = col
+            filed = []
+            ok = True
             for i, j in pair_plan[c]:
                 v, u = pair(cols, i, j)
-                res = list(u)
-                sup = {}
+                rest, last = u, c
                 for m, cm in enumerate(v):
                     if not cm:
                         continue
-                    if m <= c:
-                        colm = cols[m]
-                        for t in range(dim):
-                            res[t] = (res[t] - cm * colm[t]) % p
+                    if m > c:
+                        last = m
                     else:
-                        sup[m] = cm
-                if not sup:
-                    if any(res):
-                        ok = False
-                        break
-                else:
-                    pending2.append((sup, tuple(res)))
+                        rest = [(r - cm * x) % p for r, x in zip(rest, cols[m])]
+                if last > c:
+                    due[last].append((c, v, rest))
+                    filed.append(last)
+                elif any(rest):
+                    ok = False
+                    break
             if ok:
                 # only a passing value's orbit is marked: a value that fails
                 # here has no results below it, so by the bijection neither
@@ -237,15 +236,17 @@ def _search(ia: IntAlgebra, pair, pools, moves=()) -> list:
                     results.append(tuple(cols))
                 else:
                     sub = [move for move in sub if _fixes(move, c + 1)]
-                    extend(c + 1, cols, pending2, sub, results)
+                    extend(c + 1, cols, sub, results)
                 if reach:
                     below = results[start:]
                     for move in reach.values():
                         results.extend(image(move, found) for found in below)
+            for d in filed:
+                due[d].pop()
             cols[c] = None
         return results
 
-    return extend(0, [None] * dim, [], moves, [])
+    return extend(0, [None] * dim, [move for move in moves if _fixes(move, 0)], [])
 
 
 def _orbit(p: int, c: int, v: tuple, group) -> tuple:
@@ -411,18 +412,10 @@ def _conjugate(p: int, move: tuple, cols: tuple) -> tuple:
 def _checked_leaves(ia: IntAlgebra, pair, auto: bool, moves=()) -> list:
     """Search, sort row-major, and check every result once on residues.
 
-    moves, a group that fixes e_0, splits the search by its stabiliser
-    chain (_search).  A move that does not fix e_0 would break the split,
-    so it raises LeafRejectedError before the search.  After it, a result
-    found twice and any result, searched or image, that fails _leaf_ok
-    raise it too.
+    moves, a group, splits the search by its stabiliser chain (_search).
+    A result found twice and any result, searched or image, that fails
+    _leaf_ok raise LeafRejectedError.
     """
-    for move in moves:
-        if not _fixes(move, 0):
-            raise LeafRejectedError(
-                f"a move on {ia.algebra.name} sends e_0 to {move[1][0]}, "
-                "but the orbit split needs every move to fix e_0"
-            )
     found = _search(ia, pair, _full_pools(ia, auto), moves)
     found.sort(key=lambda cols: pack_columns(cols, ia.dim))
     prev = None
@@ -443,8 +436,7 @@ def _checked_leaves(ia: IntAlgebra, pair, auto: bool, moves=()) -> list:
 def _rb_leaves(ia: IntAlgebra, w, moves) -> list:
     """Every operator of weight w as checked residue columns, sorted.
 
-    The moves (_rb_moves) that fix e_0 are closed under composition, so they
-    form a group, the stabiliser of e_0, which splits the search by its
+    The moves (_rb_moves) form a group, which splits the search by its
     stabiliser chain on any algebra.  At w != 0 the reflection
     phi(R) = -R - w * I joins it: phi commutes with every conjugation and
     left * right = I for every move, so phi o (left, right^T, 0) is
@@ -452,13 +444,12 @@ def _rb_leaves(ia: IntAlgebra, w, moves) -> list:
     orbit_classify sorts by the group without phi.
     """
     p = ia.p
-    stabiliser = [move for move in moves if _fixes(move, 0)]
     if w.value:
-        stabiliser += [
+        moves = moves + [
             (tuple(tuple(-x % p for x in row) for row in left), right_t, -w.value % p)
-            for left, right_t, _ in stabiliser
+            for left, right_t, _ in moves
         ]
-    return _checked_leaves(ia, partial(_rb_pair, ia, w.value), auto=False, moves=stabiliser)
+    return _checked_leaves(ia, partial(_rb_pair, ia, w.value), auto=False, moves=moves)
 
 
 def _rb_operators(a: Algebra, w, found) -> list[RBOperator]:
@@ -471,8 +462,8 @@ def _rb_operators(a: Algebra, w, found) -> list[RBOperator]:
 def enumerate_rb(a: Algebra, weight) -> list[RBOperator]:
     """All Rota-Baxter operators of the given weight, sorted row-major.
 
-    The search is split by the stabiliser chain of the moves that fix e_0,
-    with phi at weight != 0 (_rb_leaves).
+    The search is split by the stabiliser chain of the moves, with phi at
+    weight != 0 (_rb_leaves).
     """
     ia = IntAlgebra(a)
     w = coerce_weight(a.field, weight)

@@ -249,6 +249,7 @@ def test_false_unit_line_exits_2():
     "algebra x field=F5 dim=2\nbasis a b\na 0 0 1\n",
     "algebra x field=F5 dim=2\nbasis a b\ngrading= 0 x\n",
     "algebra x field=F5 dim=0\nbasis\n",
+    "algebra x field=Q dim=1\nbasis a\n0 0 0 1/0\n",
 ])
 def test_malformed_algebra_file_exits_2(tmp_path, text):
     path = tmp_path / "bad.alg"
@@ -448,6 +449,8 @@ CONVERT_M4 = ("convert", "--algebra", fx("m4_q.alg"))
 TENSOR = ("--tensor", fx("example16_q.tensor"))
 OP = ("--op", fx("m1_q.op"))
 SPLIT_M2 = ("construct", "split", "--algebra", fx("m2_q.alg"), "--weight", "1", "--first")
+EX13 = ("construct", "ex13", "--p", "5", "--k", "1", "--l", "0", "--alpha")
+L_E_M2 = ("construct", "l-e", "--algebra", fx("m2_q.alg"), "--weight", "-1", "--element")
 
 
 @pytest.mark.parametrize(
@@ -466,10 +469,16 @@ SPLIT_M2 = ("construct", "split", "--algebra", fx("m2_q.alg"), "--weight", "1", 
         ((*SPLIT_M2, "a"), "--first 'a' is not a basis index in 0..3"),
         ((*SPLIT_M2, "0,9"), "--first '9' is not a basis index in 0..3"),
         ((*SPLIT_M2, "-1"), "--first '-1' is not a basis index in 0..3"),
+        ((*EX13, "1,1"), "alpha needs 3 entries, got 2"),
+        ((*EX13, "1,1,0,0"), "alpha needs 3 entries, got 4"),
+        ((*L_E_M2, "1,0,0,0,1"), "element needs 4 entries, got 5"),
+        ((*L_E_M2, "1,0,0"), "element needs 4 entries, got 3"),
+        (("gen-system", "--d", "1,1", "--weight", "1/0"), "bad rational literal '1/0'"),
     ],
     ids=[
         "raw-derivation", "weight-auto", "op-sandwich", "op-form-trace", "tensor-to-tensor",
-        "first-letter", "first-past-dim", "first-negative",
+        "first-letter", "first-past-dim", "first-negative", "alpha-short", "alpha-long",
+        "element-long", "element-short", "weight-zero-denominator",
     ],
 )
 def test_option_the_kind_or_mode_ignores_exits_2(argv, message):

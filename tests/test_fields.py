@@ -102,6 +102,13 @@ def test_element_text_round_trip():
     e = E13.element((4, 9))
     assert str(e) == "4+9*s"
     assert E13.parse("4+9*s") == e
+    assert Q.parse("3/06") == Q.element(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("field,text", [(Q, "1/0"), (Q, "-2/00"), (Q, "1.5"), (F5, "1/2")])
+def test_bad_literal_rejected(field, text):
+    with pytest.raises(InvalidSpecError):
+        field.parse(text)
 
 
 def test_extension_adjoined_root():

@@ -280,19 +280,6 @@ def test_bad_move_rejects_its_images(monkeypatch):
         enumerate_rb(a, 0)
 
 
-def test_image_off_its_target_raises():
-    # on TP2 with u1 falsely declared the unit, the swap of u1 and u2 maps
-    # operators to operators, but not R(u1) = v to R(u1) = swap * v; the
-    # parser rejects such an algebra, so it is built here
-    f3 = PrimeField(3)
-    a = Algebra(f3, "TP2", ("u1", "u2"), [[(1, 0), (0, 0)], [(0, 0), (0, 1)]], unit=(1, 0))
-    ia = IntAlgebra(a)
-    moves = search._rb_moves(a, rb.coerce_weight(f3, 1), search._automorphisms(ia))
-    assert len(moves) == 2
-    with pytest.raises(LeafRejectedError, match="needs every move to fix e_0"):
-        search._checked_leaves(ia, functools.partial(_rb_pair, ia, 1), False, moves)
-
-
 def test_leaf_found_twice_raises(monkeypatch):
     ia = load("k3_f3")
     cols = ((0, 0, 0),) * 3

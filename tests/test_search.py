@@ -283,20 +283,22 @@ def test_false_unit_line_takes_plain_search(monkeypatch, weight):
     expected = _plain(a, weight)
     assert len(expected) == (1 if weight == 0 else 12)
     column0 = column0_searched(a, weight)
-    splits = []
-    real = search._checked_leaves
-
-    def recording(ia, pair, auto, moves=()):
-        splits.append(moves)
-        return real(ia, pair, auto, moves)
-
-    monkeypatch.setattr(search, "_checked_leaves", recording)
     calls = record_rb_searches(monkeypatch)
+    groups = []
+    real = search._orbit
+
+    def recording(p, c, v, group):
+        if c == 0:
+            groups.append(group)
+        return real(p, c, v, group)
+
+    monkeypatch.setattr(search, "_orbit", recording)
     assert packed(enumerate_rb(a, weight)) == expected
     assert calls == [column0]
-    # the last search is the operator search
-    assert [right_t for _, right_t, _ in splits[-1]] == [((1, 0), (0, 1))] * 2
-    assert [offset for _, _, offset in splits[-1]] == [0, 0 if weight == 0 else -weight % 3]
+    # every value searched at column 0 runs under the same group
+    assert groups == [groups[0]] * len(column0)
+    assert [right_t for _, right_t, _ in groups[0]] == [((1, 0), (0, 1))] * 2
+    assert [offset for _, _, offset in groups[0]] == [0, 0 if weight == 0 else -weight % 3]
 
 
 @pytest.mark.parametrize(
