@@ -3,9 +3,9 @@
 Three field kinds are supported:
 
 * ``Rationals()``          -- arbitrary-precision fractions (stdlib Fraction),
-* ``PrimeField(p)``        -- residues mod an odd prime (p = 2 only behind an
-                              explicit override flag, since most of the theory
-                              divides by 2),
+* ``PrimeField(p)``        -- residues mod an odd prime below 3.3e24 (p = 2
+                              only behind an explicit override flag, since
+                              most of the theory divides by 2),
 * ``QuadraticExtension(p, a)`` -- F_p adjoined s with s*s = a, where a is a
                               quadratic non-residue mod p.
 
@@ -64,6 +64,39 @@ def _sqrt_mod_prime(a: int, p: int) -> int | None:
             m, c = i, b * b % p
             t, r = t * c % p, r * b % p
     return min(r, p - r)
+
+
+# Miller-Rabin on the first thirteen primes as bases decides primality
+# exactly below _PRIME_BOUND, the least strong pseudoprime to all of them
+# (Sorenson and Webster, Math. Comp. 86, 2017); the first twelve are fooled
+# by 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+_TOO_LARGE = "p must be below 3.3e24, where primality is decided exactly"
+
+
+def _check_prime(p: int) -> None:
+    """Raise InvalidSpecError unless p is a prime below _PRIME_BOUND."""
+    if p >= _PRIME_BOUND:
+        raise InvalidSpecError(_TOO_LARGE)
+    if p in _MR_BASES:
+        return
+    if p < 2 or any(p % b == 0 for b in _MR_BASES):
+        raise InvalidSpecError(f"{p} is not prime")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            raise InvalidSpecError(f"{p} is not prime")
 
 
 class Field:
@@ -197,8 +230,7 @@ class PrimeField(Field):
     """
 
     def __init__(self, p: int, allow_char2: bool = False):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
-            raise InvalidSpecError(f"{p} is not prime")
+        _check_prime(p)
         if p == 2 and not allow_char2:
             raise UnsupportedFieldError("characteristic 2 requires the explicit override")
         self.p = p
@@ -208,7 +240,7 @@ class PrimeField(Field):
         return f"F{self.p}"
 
     def __eq__(self, other):
-        return isinstance(other, PrimeField) and not isinstance(other, QuadraticExtension) and other.p == self.p
+        return isinstance(other, PrimeField) and other.p == self.p
 
     def __hash__(self):
         return hash(("Fp", self.p))
@@ -259,7 +291,7 @@ class PrimeField(Field):
         return a
 
 
-class QuadraticExtension(PrimeField):
+class QuadraticExtension(Field):
     """F_p(s) with s*s = a for a fixed quadratic non-residue a.
 
     Elements are pairs (u, v) for u + v*s.  The printed form is "u+v*s"
@@ -267,12 +299,14 @@ class QuadraticExtension(PrimeField):
     """
 
     def __init__(self, p: int, a: int):
-        super().__init__(p)
+        _check_prime(p)
         if p == 2:
             raise UnsupportedFieldError("no quadratic extension over F2 here")
         a %= p
         if a == 0 or _sqrt_mod_prime(a, p) is not None:
             raise InvalidSpecError(f"{a} is a square mod {p}; the extension needs a non-residue")
+        self.p = p
+        self.char = p
         self.a = a
 
     def __repr__(self):
@@ -482,6 +516,9 @@ def field_from_text(text: str, allow_char2: bool = False) -> Field:
         raise InvalidSpecError(f"bad field spec {text!r}")
     if m.group(1) is None:
         return Rationals()
+    if len(m.group(1).lstrip("0")) > len(str(_PRIME_BOUND)):
+        # int() refuses strings of more than 4300 digits
+        raise InvalidSpecError(_TOO_LARGE)
     p = int(m.group(1))
     if m.group(2) is None:
         return PrimeField(p, allow_char2=allow_char2)

@@ -110,7 +110,9 @@ def algebra_from_text(text: str, allow_char2: bool = False) -> Algebra:
     basis = None
     unit = None
     grading = None
-    cells = [[[field.zero] * dim for _ in range(dim)] for _ in range(dim)]
+    # entries by (i, j, k): the dim^3 cube is built only once the basis
+    # line has confirmed dim
+    entries: dict = {}
     for line in lines[1:]:
         if line.startswith("basis"):
             basis = line.split()[1:]
@@ -130,9 +132,14 @@ def algebra_from_text(text: str, allow_char2: bool = False) -> Algebra:
             i, j, k = _parse_ints(parts[:3], line)
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise InvalidSpecError(f"index out of range in {line!r}")
-            cells[i][j][k] = cells[i][j][k] + field.parse(parts[3])
+            entries[i, j, k] = entries.get((i, j, k), field.zero) + field.parse(parts[3])
     if basis is None:
         raise InvalidSpecError("missing basis line")
+    zero = field.zero
+    cells = [
+        [[entries.get((i, j, k), zero) for k in range(dim)] for j in range(dim)]
+        for i in range(dim)
+    ]
     parsed = Algebra(field, name, basis, cells, unit=unit, grading=grading)
     try:
         rebuilt = build_algebra(field, name)

@@ -7,11 +7,11 @@ only, rescaling the whole matrix.  The moves generate a finite group that
 is listed in full, so each orbit is the set of images of one operator
 under every group element, computed in plain integer arithmetic; the
 canonical representative is the row-major smallest member.
-orbit_classify searches the automorphisms once, builds the group from them
-(search._rb_moves), and partitions the leaves of the operator search.  That
-search is split by the stabiliser chain of the group, with phi(R) =
--R - w id added at weight w != 0 (search._rb_leaves); phi is used by the
-search only, and the orbits are orbits of the group without it.
+orbit_classify takes the group and the operators from one call of
+search._rb_search, which also serves enumerate_rb and the pattern claims,
+and partitions the operators.  That search is split by the stabiliser
+chain of the group, with phi(R) = -R - w id added at weight w != 0; phi is
+used by the search only, and the orbits are orbits of the group without it.
 
 The claims form one table, CLAIMS: each row names the primes and weight
 its claim runs over, and the phrase `rbx verify` prints when it holds.
@@ -33,18 +33,14 @@ from .rb import (
     _diagnostics,
     _image_all_degenerate,
     apply_phi,
-    coerce_weight,
     is_splitting,
     weight0_matrix_ops,
 )
 from .search import (
-    IntAlgebra,
-    _automorphisms,
     _conjugate,
     _moves,
-    _rb_leaves,
-    _rb_moves,
     _rb_operators,
+    _rb_search,
     _to_int_rows,
     enumerate_derivations,
     enumerate_rb,
@@ -139,11 +135,8 @@ def orbit_classify(a: Algebra, weight) -> OrbitReport:
     orbits are taken without phi.  An image of an operator that is not
     itself an operator raises OrbitEscapeError.
     """
-    ia = IntAlgebra(a)
-    p, dim = ia.p, ia.dim
-    w = coerce_weight(a.field, weight)
-    moves = _rb_moves(a, w, _automorphisms(ia))
-    found = _rb_leaves(ia, w, moves)
+    w, _, moves, found = _rb_search(a, weight)
+    p, dim = a.field.p, a.dim
     by_key = dict(zip((pack_columns(cols, dim) for cols in found), _rb_operators(a, w, found)))
     orbits = []
     # found is sorted and closed under the moves, so each orbit's seed is
@@ -269,10 +262,11 @@ def _claim_pattern_closure(
     # when the pattern conjugates are exactly the enumerated operators, so
     # every operator is reached, and nothing else is
     a = build(PrimeField(p))
-    ia = IntAlgebra(a)
-    w = coerce_weight(a.field, weight)
-    autos = _automorphisms(ia)
-    keys = {pack_columns(cols, ia.dim) for cols in _rb_leaves(ia, w, _rb_moves(a, w, autos))}
+    _, autos, moves, found = _rb_search(a, weight)
+    keys = {pack_columns(cols, a.dim) for cols in found}
+    # the closure is this claim's peak: on Gr2/F3 holding the moves and
+    # columns through it raised peak RSS by 0.5 MB
+    del moves, found
     closure = _closure_of_patterns(p, autos, patterns(p))
     lines = [
         f"{label} over F{p} weight {weight}: {len(keys)} operators, "

@@ -19,16 +19,18 @@ lexicographic order, so the result list is deterministic; a raw
 enumerator with none of this machinery double-checks the pruned one on
 small spaces.
 
-Rota-Baxter operators are searched modulo a group on every algebra, by
-its stabiliser chain.  The moves (conjugation by every automorphism, by
-the recorded antiautomorphism, and at weight 0 scaling by every nonzero
-scalar; the group orbit_classify sorts operators by) map operators to
-operators, and so, at weight w != 0, does phi(R) = -R - w id, which the
-search adds to them.  A move R -> left * R * right + offset * I whose right
-factor fixes e_0..e_c and which fixes the columns R(e_0)..R(e_{c-1})
-already chosen sends the operators that have those columns and
-R(e_c) = v bijectively to those that have them and
-R(e_c) = left * v + offset * e_c, and such moves form a group.  So
+Rota-Baxter operators are searched in one place, _rb_search, for
+enumerate_rb, orbit_classify and the pattern claims, modulo a group on
+every algebra, by its stabiliser chain.  The moves (conjugation by every
+automorphism, by the recorded antiautomorphism, and at weight 0 scaling
+by every nonzero scalar; the group orbit_classify sorts operators by) map
+operators to operators, and so, at weight w != 0, does
+phi(R) = -R - w id, which the search adds to them.  A move
+R -> left * R * right + offset * I whose right factor fixes e_0..e_c and
+which fixes the columns R(e_0)..R(e_{c-1}) already chosen sends the
+operators that have those columns and R(e_c) = v bijectively to those
+that have them and R(e_c) = left * v + offset * e_c, and such moves form
+a group.  So
 every column runs over one value per orbit of that group, and every
 operator with another value u is the image of a result below the searched
 value under the first move that reaches u (McKay, Isomorph-free exhaustive
@@ -53,7 +55,7 @@ from operator import mul
 
 from .algebras import Algebra, check_automorphism
 from .errors import LeafRejectedError, SearchSpaceTooLargeError, UnsupportedFieldError
-from .fields import PrimeField, QuadraticExtension
+from .fields import PrimeField
 from .linalg import Matrix
 from .rb import LinearOperator, RBOperator, coerce_weight
 
@@ -68,7 +70,7 @@ class IntAlgebra:
 
     def __init__(self, a: Algebra):
         field = a.field
-        if isinstance(field, QuadraticExtension) or not isinstance(field, PrimeField):
+        if not isinstance(field, PrimeField):
             raise UnsupportedFieldError("search runs over prime fields")
         self.algebra = a
         self.p = field.p
@@ -379,18 +381,6 @@ def _moves(p: int, autos: list, antiauto=None, scalars=(1,)) -> list:
     ]
 
 
-def _rb_moves(a: Algebra, w, autos: list) -> list:
-    """The moves of Rota-Baxter operators of weight w on a, as _moves.
-
-    Conjugation by autos (the whole automorphism group, as residue
-    columns) and by a.antiauto; at weight 0 also scaling by every nonzero
-    scalar.
-    """
-    p = a.field.p
-    scalars = range(1, p) if w.is_zero() else (1,)
-    return _moves(p, autos, a.antiauto, scalars)
-
-
 def _fixes(move: tuple, j: int) -> bool:
     """Whether the right factor of a move sends e_j to e_j."""
     right_t = move[1]
@@ -433,23 +423,33 @@ def _checked_leaves(ia: IntAlgebra, pair, auto: bool, moves=()) -> list:
     return found
 
 
-def _rb_leaves(ia: IntAlgebra, w, moves) -> list:
-    """Every operator of weight w as checked residue columns, sorted.
+def _rb_search(a: Algebra, weight) -> tuple:
+    """The operators of the given weight on a, and the group that sorts them.
 
-    The moves (_rb_moves) form a group, which splits the search by its
-    stabiliser chain on any algebra.  At w != 0 the reflection
-    phi(R) = -R - w * I joins it: phi commutes with every conjugation and
-    left * right = I for every move, so phi o (left, right^T, 0) is
-    (-left, right^T, -w) and the moves with these still form a group.
-    orbit_classify sorts by the group without phi.
+    Returns (w, autos, moves, found): the weight in a's field, every
+    automorphism (_automorphisms), the moves of operators (_moves:
+    conjugation by autos and by a.antiauto, at weight 0 also scaling by
+    every nonzero scalar; the group orbit_classify sorts by), and every
+    operator as checked residue columns, sorted row-major (_checked_leaves).
+    The moves split the search by their stabiliser chain on any algebra.
+    At w != 0 the reflection phi(R) = -R - w * I joins them for the search
+    only: phi commutes with every conjugation and left * right = I for
+    every move, so phi o (left, right^T, 0) is (-left, right^T, -w) and the
+    moves with these still form a group.
     """
+    ia = IntAlgebra(a)
     p = ia.p
+    w = coerce_weight(a.field, weight)
+    autos = _automorphisms(ia)
+    moves = _moves(p, autos, a.antiauto, (1,) if w.value else range(1, p))
+    split = moves
     if w.value:
-        moves = moves + [
+        split = moves + [
             (tuple(tuple(-x % p for x in row) for row in left), right_t, -w.value % p)
             for left, right_t, _ in moves
         ]
-    return _checked_leaves(ia, partial(_rb_pair, ia, w.value), auto=False, moves=moves)
+    found = _checked_leaves(ia, partial(_rb_pair, ia, w.value), auto=False, moves=split)
+    return w, autos, moves, found
 
 
 def _rb_operators(a: Algebra, w, found) -> list[RBOperator]:
@@ -463,11 +463,10 @@ def enumerate_rb(a: Algebra, weight) -> list[RBOperator]:
     """All Rota-Baxter operators of the given weight, sorted row-major.
 
     The search is split by the stabiliser chain of the moves, with phi at
-    weight != 0 (_rb_leaves).
+    weight != 0 (_rb_search).
     """
-    ia = IntAlgebra(a)
-    w = coerce_weight(a.field, weight)
-    return _rb_operators(a, w, _rb_leaves(ia, w, _rb_moves(a, w, _automorphisms(ia))))
+    w, _, _, found = _rb_search(a, weight)
+    return _rb_operators(a, w, found)
 
 
 def _automorphisms(ia: IntAlgebra) -> list:

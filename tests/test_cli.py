@@ -1,13 +1,18 @@
 import argparse
 import contextlib
 import io
+import os
 import pathlib
+import resource
+import subprocess
+import sys
 
 import pytest
 
 from rbx.cli import build_parser, main
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def fx(name: str) -> str:
@@ -259,6 +264,43 @@ def test_malformed_algebra_file_exits_2(tmp_path, text):
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+
+def test_prime_past_the_bound_exits_2(tmp_path):
+    # the square root of 10^400 overflows a float, and trial division up to
+    # that of 10^18 + 3 takes 10^9 steps; p past 3.3e24 is refused
+    path = tmp_path / "big.alg"
+    path.write_text("algebra x field=F1" + "0" * 400 + " dim=1\nbasis a\n", encoding="utf-8")
+    code, out, err = run("info", "--algebra", str(path))
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == "error: p must be below 3.3e24, where primality is decided exactly"
+    path.write_text("algebra x field=F1000000000000000003 dim=1\nbasis a\n", encoding="utf-8")
+    code, out, _ = run("info", "--algebra", str(path))
+    assert code == 0
+    assert out.splitlines()[1] == "field=F1000000000000000003 dim=1"
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_dim_checked_before_the_product_cube(tmp_path):
+    # the 3000^3 cells a dim=3000 header names would take over 200 GB; the
+    # basis line refutes that dim before any cell is built.  Run under a
+    # 1 GiB address-space limit, so a regression fails with MemoryError
+    # instead of exhausting the machine.
+    path = tmp_path / "big.alg"
+    path.write_text("algebra x field=F3 dim=3000\nbasis a b\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "rbx.cli", "info", "--algebra", str(path)],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        preexec_fn=_limit_address_space,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines()[0] == "error: basis line length != dim"
 
 
 # name -> argv of a command whose stdout is tests/fixtures/golden/<name>.out

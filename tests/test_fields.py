@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -62,6 +63,54 @@ def test_char2_rejected_by_default():
 def test_composite_modulus_rejected():
     with pytest.raises(InvalidSpecError):
         PrimeField(6)
+
+
+def _is_prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _builds(p):
+    try:
+        PrimeField(p, allow_char2=True)
+    except InvalidSpecError:
+        return False
+    return True
+
+
+def test_primality_agrees_with_trial_division():
+    assert all(_builds(n) == _is_prime_by_trial_division(n) for n in range(-2, 20000))
+
+
+def test_large_primes_decided_exactly():
+    assert PrimeField(10**18 + 3).p == 10**18 + 3
+    assert field_from_text("F1000000000000000003") == PrimeField(10**18 + 3)
+    # 10^18 + 1 = 101 * 9901 * 999999000001
+    with pytest.raises(InvalidSpecError, match="not prime"):
+        PrimeField(10**18 + 1)
+    # a strong pseudoprime to every prime base up to 37, not to 41
+    with pytest.raises(InvalidSpecError, match="not prime"):
+        PrimeField(399165290221 * 798330580441)
+
+
+@pytest.mark.parametrize(
+    "p", [3317044064679887385961981, 10**400, 10**5000], ids=["bound", "10^400", "10^5000"]
+)
+def test_primes_past_the_bound_refused(p):
+    with pytest.raises(InvalidSpecError, match="below 3.3e24"):
+        PrimeField(p)
+    with pytest.raises(InvalidSpecError, match="below 3.3e24"):
+        QuadraticExtension(p, 2)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["F3317044064679887385961981", "F1" + "0" * 400, "F1" + "0" * 5000],
+    ids=["bound", "10^400", "10^5000"],
+)
+def test_field_text_past_the_bound_refused(text):
+    # int() would refuse the 5001 digits with a ValueError
+    with pytest.raises(InvalidSpecError, match="below 3.3e24"):
+        field_from_text(text)
 
 
 def test_element_enumeration_order():

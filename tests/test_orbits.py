@@ -303,8 +303,8 @@ FIXES_E0 = ((1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 def _with_bad_automorphism(monkeypatch, bad):
-    real = orbits._automorphisms
-    monkeypatch.setattr(orbits, "_automorphisms", lambda ia: real(ia) + [bad])
+    real = search._automorphisms
+    monkeypatch.setattr(search, "_automorphisms", lambda ia: real(ia) + [bad])
 
 
 def _classify_m2_f3_w0():
@@ -342,7 +342,6 @@ def test_bad_move_fixing_e0_rejects_a_leaf(monkeypatch):
 
 
 def _count_automorphism_searches(monkeypatch) -> list:
-    # every rbx module that binds search._automorphisms
     calls = []
     real = search._automorphisms
 
@@ -350,8 +349,7 @@ def _count_automorphism_searches(monkeypatch) -> list:
         calls.append(ia.algebra.name)
         return real(ia)
 
-    for module in (search, orbits):
-        monkeypatch.setattr(module, "_automorphisms", counted)
+    monkeypatch.setattr(search, "_automorphisms", counted)
     return calls
 
 

@@ -1,5 +1,6 @@
 import functools
 import pathlib
+import random
 
 import pytest
 
@@ -357,3 +358,48 @@ def test_weight_scaling_twins(name):
     ones = packed(enumerate_rb(a, 1))
     for c in range(2, p):
         assert packed(enumerate_rb(a, c)) == sorted(tuple(c * x % p for x in key) for key in ones)
+
+
+def _random_invertible(field, grading, rng):
+    """A random invertible matrix over F_p that sends each basis vector
+    into its own grade."""
+    dim = len(grading)
+    while True:
+        rows = [
+            [rng.randrange(field.p) if grading[i] == grading[j] else 0 for j in range(dim)]
+            for i in range(dim)
+        ]
+        m = Matrix(field, rows)
+        if m.rank() == dim:
+            return m
+
+
+def _basis_change(a, p_mat):
+    """A^P: the product of a in the basis P e_0, ..., P e_{dim-1}, with no
+    unit and no antiautomorphism declared."""
+    p_inv = p_mat.inverse()
+    cols = [p_mat.column(i) for i in range(a.dim)]
+    table = [[p_inv.apply(a.product_vec(x, y)) for y in cols] for x in cols]
+    return Algebra(a.field, f"{a.name}^P", a.basis, table, grading=a.grading)
+
+
+@pytest.mark.parametrize(
+    "name,weight,count",
+    [("m2_f3", 1, 290), ("gr2_f3", 0, 315), ("gr2_f3", 1, 148), ("sl2_f5", 1, 392),
+     ("k3_f5", 0, 145)],
+)
+def test_basis_change_twins(name, weight, count):
+    # R is an operator on A^P exactly when P R P^-1 is one on A.  A^P
+    # declares no unit and no antiautomorphism, and its e_0 is P e_0, so its
+    # search runs under a smaller group and another stabiliser chain
+    a = ALGEBRAS[name]()
+    p_mat = _random_invertible(a.field, a.grading or (0,) * a.dim, random.Random(name))
+    twin = _basis_change(a, p_mat)
+    assert twin.table != a.table
+    p_inv = p_mat.inverse()
+    pushed = sorted(
+        tuple(x.value for row in (p_mat * r.matrix * p_inv).data for x in row)
+        for r in enumerate_rb(twin, weight)
+    )
+    assert len(pushed) == count
+    assert pushed == packed(enumerate_rb(a, weight))
