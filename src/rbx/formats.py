@@ -36,6 +36,8 @@ from .ybe import Tensor2
 _ALGEBRA_HEADER = re.compile(r"algebra\s+(\S+)\s+field=(\S+)\s+dim=(\d+)")
 _OPERATOR_HEADER = re.compile(r"operator\s+algebra=(\S+)\s+weight=(\S+)")
 _TENSOR_HEADER = re.compile(r"tensor\s+algebra=(\S+)\s+terms=(\d+)")
+# the product table holds dim^3 cells; the largest shipped algebra has dim 16
+MAX_DIM = 64
 
 
 def _content_lines(text: str) -> list[str]:
@@ -104,7 +106,11 @@ def algebra_from_text(text: str, allow_char2: bool = False) -> Algebra:
     lines, m = _header(text, "algebra", _ALGEBRA_HEADER)
     name = m.group(1)
     field = field_from_text(m.group(2), allow_char2=allow_char2)
-    dim = int(m.group(3))
+    digits = m.group(3).lstrip("0") or "0"
+    # a long digit string is refused before int() reads it
+    if len(digits) > 2 or int(digits) > MAX_DIM:
+        raise InvalidSpecError(f"dim must be at most {MAX_DIM}")
+    dim = int(digits)
     if dim < 1:
         raise InvalidSpecError("dim must be at least 1")
     basis = None

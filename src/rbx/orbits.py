@@ -3,15 +3,19 @@
 Three moves preserve the Rota-Baxter property with my conventions:
 conjugation by any algebra automorphism, conjugation by a recorded
 antiautomorphism (transposition on matrix algebras), and, for weight zero
-only, rescaling the whole matrix.  The moves generate a finite group that
-is listed in full, so each orbit is the set of images of one operator
-under every group element, computed in plain integer arithmetic; the
-canonical representative is the row-major smallest member.
-orbit_classify takes the group and the operators from one call of
+only, rescaling the whole matrix.  The moves generate a finite group.
+orbit_classify takes the automorphisms and the operators from one call of
 search._rb_search, which also serves enumerate_rb and the pattern claims,
-and partitions the operators.  That search is split by the stabiliser
-chain of the group, with phi(R) = -R - w id added at weight w != 0; phi is
-used by the search only, and the orbits are orbits of the group without it.
+and partitions the operators.  Each orbit is closed breadth first from a
+few generators of the group (search._move_generators: generators of the
+automorphisms, the antiautomorphism, the nonzero scalars at weight 0), in
+plain integer arithmetic, at |orbit| * |generators| images instead of
+|orbit| * |group| (Holt, Eick and O'Brien, Handbook of Computational Group
+Theory, 2005, section 4.1).  The canonical representative is the
+row-major smallest member.  The operator search is split by the
+stabiliser chain of the whole group, with phi(R) = -R - w id added at
+weight w != 0; phi is used by the search only, and the orbits are orbits
+of the group without it.
 
 The claims form one table, CLAIMS: each row names the primes and weight
 its claim runs over, and the phrase `rbx verify` prints when it holds.
@@ -38,7 +42,8 @@ from .rb import (
 )
 from .search import (
     _conjugate,
-    _moves,
+    _move_generators,
+    _move_kinds,
     _rb_operators,
     _rb_search,
     _to_int_rows,
@@ -114,34 +119,52 @@ def pack_operator(r: RBOperator) -> tuple:
     return _pack_rows(_to_int_rows(r.matrix))
 
 
-def _orbits(p: int, moves: list, seeds):
-    """The orbit of each seed (residue columns) under the group moves, as
-    (packed seed, packed members), unless an earlier orbit holds the seed."""
+def _orbits(p: int, gens: list, seeds, inside=None):
+    """The orbit of each seed (residue columns) under the group the moves
+    gens generate, as (packed seed, packed members), unless an earlier
+    orbit holds the seed.
+
+    Each orbit is closed breadth first, every member being moved once by
+    each generator, so it costs |orbit| * |gens| images.  An image outside
+    inside, when given, is kept among the members but not moved further.
+    """
     seen: set = set()
     for cols in seeds:
-        packed = pack_columns(cols, len(cols))
-        if packed not in seen:
-            members = frozenset(_conjugate(p, m, cols) for m in moves)
-            seen |= members
-            yield packed, members
+        dim = len(cols)
+        packed = pack_columns(cols, dim)
+        if packed in seen:
+            continue
+        members = {packed}
+        queue = [cols]
+        for cur in queue:
+            for move in gens:
+                image = _conjugate(p, move, cur)
+                if image not in members:
+                    members.add(image)
+                    if inside is None or image in inside:
+                        queue.append(tuple(image[j::dim] for j in range(dim)))
+        seen |= members
+        yield packed, frozenset(members)
 
 
 def orbit_classify(a: Algebra, weight) -> OrbitReport:
     """Every Rota-Baxter operator of the weight on a, in orbits under the
     three moves.
 
-    The moves come from one automorphism search, and the operator search
-    is split by their stabiliser chain (with phi at weight != 0); the
-    orbits are taken without phi.  An image of an operator that is not
-    itself an operator raises OrbitEscapeError.
+    The automorphisms come from one search, which also finds the operators
+    split by the stabiliser chain of the moves (with phi at weight != 0);
+    the orbits are closed from a few generators of the moves, without phi.
+    An image of an operator that is not itself an operator raises
+    OrbitEscapeError.
     """
-    w, _, moves, found = _rb_search(a, weight)
+    w, autos, found = _rb_search(a, weight)
     p, dim = a.field.p, a.dim
+    gens = _move_generators(p, dim, autos, *_move_kinds(a, w))
     by_key = dict(zip((pack_columns(cols, dim) for cols in found), _rb_operators(a, w, found)))
     orbits = []
-    # found is sorted and closed under the moves, so each orbit's seed is
-    # its smallest member
-    for rep, members in _orbits(p, moves, found):
+    # found is sorted and each orbit is closed, so each orbit's seed is its
+    # smallest member
+    for rep, members in _orbits(p, gens, found, by_key.keys()):
         if not members <= by_key.keys():
             raise OrbitEscapeError(
                 f"the orbit of operator {matrix_hex(rep, p)} leaves the "
@@ -238,8 +261,10 @@ def _claim_m2_weight0(p: int, weight: int) -> tuple[bool, list[str]]:
 
 
 def _closure_of_patterns(p: int, autos: list, patterns) -> set:
+    """The images of the patterns (rows) under conjugation by autos."""
+    gens = _move_generators(p, len(autos[0]), autos)
     seeds = (tuple(zip(*rows)) for rows in patterns)
-    return set().union(*(members for _, members in _orbits(p, _moves(p, autos), seeds)))
+    return set().union(*(members for _, members in _orbits(p, gens, seeds)))
 
 
 def _gr2_tail_patterns(p: int) -> list:
@@ -262,11 +287,8 @@ def _claim_pattern_closure(
     # when the pattern conjugates are exactly the enumerated operators, so
     # every operator is reached, and nothing else is
     a = build(PrimeField(p))
-    _, autos, moves, found = _rb_search(a, weight)
+    _, autos, found = _rb_search(a, weight)
     keys = {pack_columns(cols, a.dim) for cols in found}
-    # the closure is this claim's peak: on Gr2/F3 holding the moves and
-    # columns through it raised peak RSS by 0.5 MB
-    del moves, found
     closure = _closure_of_patterns(p, autos, patterns(p))
     lines = [
         f"{label} over F{p} weight {weight}: {len(keys)} operators, "

@@ -37,7 +37,9 @@ value under the first move that reaches u (McKay, Isomorph-free exhaustive
 generation, J. Algorithms 26, 1998).  The next column runs under the moves
 that also fix the chosen value and e_{c+1}.  When no move but the identity
 is left, the search below is the plain one.  Automorphisms and derivations
-take the plain search.
+take the plain search.  The split needs every move of the group, for the
+stabiliser of each node; orbit_classify closes its orbits from a few
+generators of the group instead (_move_generators).
 
 All arithmetic here runs on plain integer residues.  Each result, searched
 or image, is checked once, on residues, against the relation of every
@@ -359,15 +361,17 @@ def _matmul(p: int, a: tuple, b: tuple) -> tuple:
 
 
 def _moves(p: int, autos: list, antiauto=None, scalars=(1,)) -> list:
-    """The group generated by the moves, as (left, right^T, 0) residue moves.
+    """Every move of the group, as (left, right^T, 0) residue moves.
 
     A move (left, right^T, offset) sends R to left * R * right + offset * I;
-    the moves built here have offset 0.  autos must be the whole
-    automorphism group, as residue columns (_automorphisms).  An
-    antiautomorphism t normalises it and t*t is an automorphism, so Aut and
-    t*Aut together are closed under composition; scalars commute with
-    conjugation.  The returned moves are therefore the whole group, and one
-    operator's images under them are its orbit.
+    the moves built here have offset 0.  Each automorphism h of autos
+    gives R -> h^-1 R h, and with antiauto t also R -> t h^-1 R h t^-1;
+    each of these is then scaled by every one of scalars.  When autos is
+    the whole automorphism group (_automorphisms) the result is the whole
+    group: t normalises Aut and t*t is an automorphism, so Aut and t*Aut
+    together are closed under composition, and scalars commute with
+    conjugation.  The split search needs every move, for the stabiliser
+    of each node (_orbit); orbits are closed from _move_generators.
     """
     pairs = [(_inverse_mod_p(rows, p), rows) for rows in (tuple(zip(*h)) for h in autos)]
     if antiauto is not None:
@@ -379,6 +383,74 @@ def _moves(p: int, autos: list, antiauto=None, scalars=(1,)) -> list:
         for left, right in pairs
         for s in scalars
     ]
+
+
+def _identity(dim: int) -> tuple:
+    return tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+
+
+def _move_kinds(a: Algebra, w) -> tuple:
+    """(antiauto, scalars) for the moves of operators of weight w on a.
+
+    Beside conjugation by each automorphism, a move conjugates by the
+    antiautomorphism a records, if any, and at weight 0 it scales by any
+    nonzero scalar (s * R has weight s * w, so only weight 0 is kept).
+    """
+    return a.antiauto, ((1,) if w.value else range(1, a.field.p))
+
+
+def _generators(p: int, dim: int, autos: list) -> list:
+    """A few members of autos whose products are every member.
+
+    autos are walked in order, and a member joins when the products of
+    those chosen so far do not reach it (the empty product being the
+    identity).  The closure is built one generator at a time: each member
+    reached is composed once with each generator, and a product outside
+    autos is not followed, so it costs at most |autos| * |generators|
+    compositions even when autos is not a group.  The walk stops once every
+    member is reached.  On a group each generator at least doubles the
+    subgroup reached, so there are at most log2 |autos| of them.
+    """
+    listed = set(autos)
+    reached = {_identity(dim)} & listed
+    gens: list = []
+    gen_rows: list = []  # each generator g by its rows, which g o x reads
+    for h in autos:
+        if len(reached) == len(listed):
+            break
+        if h in reached:
+            continue
+        gens.append(h)
+        gen_rows.append(tuple(zip(*h)))
+        # the members reached so far are closed under the earlier generators
+        queue = [(x, gen_rows[-1:]) for x in reached]
+        queue.append((h, gen_rows[:]))
+        reached.add(h)
+        for x, by in queue:
+            for rows in by:
+                y = tuple(tuple(sum(map(mul, col, row)) % p for row in rows) for col in x)
+                if y in listed and y not in reached:
+                    reached.add(y)
+                    queue.append((y, gen_rows[:]))
+    return gens
+
+
+def _move_generators(p: int, dim: int, autos: list, antiauto=None, scalars=(1,)) -> list:
+    """Generators of the group _moves(p, autos, antiauto, scalars) lists.
+
+    They are the conjugations by a few automorphisms that generate autos
+    (_generators), the conjugation R -> t R t^-1 by antiauto t if given,
+    and the scaling by each of scalars but 1; every move is a product of
+    these.
+    """
+    gens = _moves(p, _generators(p, dim, autos))
+    if antiauto is not None:
+        t = _to_int_rows(antiauto)
+        gens.append((t, tuple(zip(*_inverse_mod_p(t, p))), 0))
+    identity = _identity(dim)
+    gens += [(tuple(tuple(s * x for x in row) for row in identity), identity, 0)
+             for s in scalars if s != 1]
+    return gens
 
 
 def _fixes(move: tuple, j: int) -> bool:
@@ -424,15 +496,14 @@ def _checked_leaves(ia: IntAlgebra, pair, auto: bool, moves=()) -> list:
 
 
 def _rb_search(a: Algebra, weight) -> tuple:
-    """The operators of the given weight on a, and the group that sorts them.
+    """The operators of the given weight on a, and the automorphisms.
 
-    Returns (w, autos, moves, found): the weight in a's field, every
-    automorphism (_automorphisms), the moves of operators (_moves:
-    conjugation by autos and by a.antiauto, at weight 0 also scaling by
-    every nonzero scalar; the group orbit_classify sorts by), and every
-    operator as checked residue columns, sorted row-major (_checked_leaves).
-    The moves split the search by their stabiliser chain on any algebra.
-    At w != 0 the reflection phi(R) = -R - w * I joins them for the search
+    Returns (w, autos, found): the weight in a's field, every automorphism
+    (_automorphisms), and every operator as checked residue columns,
+    sorted row-major (_checked_leaves).  The search is split by the
+    stabiliser chain of the moves of operators: conjugation by autos and
+    the antiautomorphism, scaling at weight 0 (_moves, _move_kinds).  At
+    w != 0 the reflection phi(R) = -R - w * I joins them for the search
     only: phi commutes with every conjugation and left * right = I for
     every move, so phi o (left, right^T, 0) is (-left, right^T, -w) and the
     moves with these still form a group.
@@ -441,15 +512,14 @@ def _rb_search(a: Algebra, weight) -> tuple:
     p = ia.p
     w = coerce_weight(a.field, weight)
     autos = _automorphisms(ia)
-    moves = _moves(p, autos, a.antiauto, (1,) if w.value else range(1, p))
-    split = moves
+    moves = _moves(p, autos, *_move_kinds(a, w))
     if w.value:
-        split = moves + [
+        moves += [
             (tuple(tuple(-x % p for x in row) for row in left), right_t, -w.value % p)
             for left, right_t, _ in moves
         ]
-    found = _checked_leaves(ia, partial(_rb_pair, ia, w.value), auto=False, moves=split)
-    return w, autos, moves, found
+    found = _checked_leaves(ia, partial(_rb_pair, ia, w.value), auto=False, moves=moves)
+    return w, autos, found
 
 
 def _rb_operators(a: Algebra, w, found) -> list[RBOperator]:
@@ -465,7 +535,7 @@ def enumerate_rb(a: Algebra, weight) -> list[RBOperator]:
     The search is split by the stabiliser chain of the moves, with phi at
     weight != 0 (_rb_search).
     """
-    w, _, _, found = _rb_search(a, weight)
+    w, _, found = _rb_search(a, weight)
     return _rb_operators(a, w, found)
 
 

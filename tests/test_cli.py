@@ -284,14 +284,11 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def test_dim_checked_before_the_product_cube(tmp_path):
-    # the 3000^3 cells a dim=3000 header names would take over 200 GB; the
-    # basis line refutes that dim before any cell is built.  Run under a
-    # 1 GiB address-space limit, so a regression fails with MemoryError
-    # instead of exhausting the machine.
-    path = tmp_path / "big.alg"
-    path.write_text("algebra x field=F3 dim=3000\nbasis a b\n", encoding="utf-8")
-    proc = subprocess.run(
+def _info_under_1gib(path):
+    """rbx info on an algebra file, in a subprocess under a 1 GiB
+    address-space limit, so a regression fails with MemoryError instead of
+    exhausting the machine."""
+    return subprocess.run(
         [sys.executable, "-m", "rbx.cli", "info", "--algebra", str(path)],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         preexec_fn=_limit_address_space,
@@ -299,8 +296,35 @@ def test_dim_checked_before_the_product_cube(tmp_path):
         text=True,
         timeout=60,
     )
+
+
+def test_dim_checked_before_the_product_cube(tmp_path):
+    # the 3000^3 cells a dim=3000 header names would take over 200 GB; the
+    # header's dim is refused before any cell is built
+    path = tmp_path / "big.alg"
+    path.write_text("algebra x field=F3 dim=3000\nbasis a b\n", encoding="utf-8")
+    proc = _info_under_1gib(path)
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.splitlines()[0] == "error: basis line length != dim"
+    assert proc.stderr.splitlines()[0] == "error: dim must be at most 64"
+
+
+@pytest.mark.parametrize(
+    "dim,basis",
+    [
+        # int() refuses a string of more than 4300 digits
+        ("7" * 5000, "a"),
+        # a basis line that confirms the dim: the cube would not fit in 1 GiB
+        ("20000", " ".join(f"b{k}" for k in range(20000))),
+    ],
+    ids=["5000-digits", "20000-names"],
+)
+def test_dim_past_the_bound_exits_2(tmp_path, dim, basis):
+    path = tmp_path / "big.alg"
+    path.write_text(f"algebra x field=F3 dim={dim}\nbasis {basis}\n", encoding="utf-8")
+    proc = _info_under_1gib(path)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    lines = [ln for ln in proc.stderr.splitlines() if not ln.startswith("elapsed:")]
+    assert lines == ["error: dim must be at most 64"]
 
 
 # name -> argv of a command whose stdout is tests/fixtures/golden/<name>.out

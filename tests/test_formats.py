@@ -182,3 +182,13 @@ def test_grassmann_negative_entry_encoding():
     a = algebra_from_text(text)
     assert a == grassmann2(F3)
     assert build_algebra(F3, "Gr2") == a
+
+
+def test_dim_bound():
+    # 64 is admitted, leading zeros and all; 65 and a long run of zeros
+    # before it are not
+    with pytest.raises(InvalidSpecError, match="basis line length != dim"):
+        algebra_from_text("algebra x field=F5 dim=0064\nbasis a b\n")
+    for dim in ("65", "0" * 5000 + "65", "100"):
+        with pytest.raises(InvalidSpecError, match="dim must be at most 64"):
+            algebra_from_text(f"algebra x field=F5 dim={dim}\nbasis a b\n")

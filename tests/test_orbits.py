@@ -1,10 +1,11 @@
 """Orbit classification and the claim suite.
 
-orbit_classify runs its own operator search and takes each orbit as the
-images of one operator under the whole group of moves.  The tests compare
-it with a closure under the moves one at a time, check that the moves form
-a group, count the T6 orbits by Burnside's lemma, and count the
-automorphism searches each command makes.
+orbit_classify runs its own operator search and closes each orbit from a
+few generators of the group of moves.  The tests compare it with a closure
+under the moves one at a time and with the images of each orbit's first
+operator under every move of the group, check that the moves form a group
+and that the generators give every automorphism, count the T6 orbits by
+Burnside's lemma, and count the automorphism searches each command makes.
 """
 
 import contextlib
@@ -16,7 +17,7 @@ import re
 import pytest
 
 from rbx import orbits, rb, search
-from rbx.algebras import grassmann2, kaplansky3, matrix_algebra
+from rbx.algebras import grassmann2, kaplansky3, matrix_algebra, sl2
 from rbx.cli import main
 from rbx.errors import LeafRejectedError, OrbitEscapeError
 from rbx.fields import PrimeField
@@ -31,12 +32,18 @@ from rbx.orbits import (
 from rbx.rb import LinearOperator, weight0_matrix_ops
 from rbx.search import enumerate_automorphisms, enumerate_rb
 
-from split_oracle import column0_orbits, column0_searched, record_rb_searches
+from split_oracle import (
+    column0_orbits,
+    column0_searched,
+    record_rb_search_results,
+    record_rb_searches,
+)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 RUN_CLAIMS = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_claims.py"
 
 F3 = PrimeField(3)
+F5 = PrimeField(5)
 
 
 def test_matrix_hex_encoding():
@@ -248,6 +255,96 @@ def test_moves_closed_under_composition():
         for l2, r2 in pairs:
             # first (l1, r1), then (l2, r2)
             assert (_matmul(3, l2, l1), _matmul(3, r1, r2)) in pairs
+
+
+# --- orbits from generators against the whole group ----------------------------
+
+BUILDERS = {
+    "gr2_f3": lambda: grassmann2(F3),
+    "m2_f3": lambda: matrix_algebra(F3, 2),
+    "k3_f5": lambda: kaplansky3(F5),
+    "sl2_f5": lambda: sl2(F5),
+}
+
+
+def whole_group_orbits(p, moves, seeds):
+    """(seed, size, members) for each seed that no earlier orbit holds, the
+    members being the seed's images under every move of the group."""
+    seen, out = set(), []
+    for cols in seeds:
+        packed = search.pack_columns(cols, len(cols))
+        if packed not in seen:
+            members = frozenset(search._conjugate(p, move, cols) for move in moves)
+            seen |= members
+            out.append((packed, len(members), members))
+    return out
+
+
+@pytest.mark.parametrize(
+    "name,weight",
+    [("gr2_f3", 0), ("gr2_f3", 1), ("m2_f3", 0), ("m2_f3", 1), ("k3_f5", 0), ("sl2_f5", 1)],
+)
+def test_generator_orbits_match_whole_group_images(monkeypatch, name, weight):
+    a = BUILDERS[name]()
+    p = a.field.p
+    results = record_rb_search_results(monkeypatch)
+    report = orbit_classify(a, weight)
+    [(_, autos, found)] = results
+    # conjugation by each automorphism and the antiautomorphism, at weight 0
+    # times each nonzero scalar
+    scalars = (1,) if weight % p else range(1, p)
+    moves = search._moves(p, autos, a.antiauto, scalars)
+    got = [(o.rep, o.size, o.members) for o in report.orbits]
+    assert got == whole_group_orbits(p, moves, found)
+
+
+@pytest.mark.parametrize("claim", ["P1-gr2-weight0", "P2-k3-weight0"])
+def test_pattern_orbits_match_whole_group_images(claim):
+    build, patterns = CLAIMS[claim].run.args[1:]
+    [p] = CLAIMS[claim].primes
+    a = build(PrimeField(p))
+    autos = search._automorphisms(search.IntAlgebra(a))
+    seeds = [tuple(zip(*rows)) for rows in patterns(p)]
+    gens = search._move_generators(p, a.dim, autos)
+    got = [(rep, len(members), members) for rep, members in orbits._orbits(p, gens, seeds)]
+    assert got == whole_group_orbits(p, search._moves(p, autos), seeds)
+    closure = orbits._closure_of_patterns(p, autos, patterns(p))
+    assert closure == set().union(*(members for _, _, members in got))
+
+
+def _rows(cols):
+    return tuple(zip(*cols))
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_generators_give_every_automorphism(name):
+    a = BUILDERS[name]()
+    p, dim = a.field.p, a.dim
+    autos = search._automorphisms(search.IntAlgebra(a))
+    gens = search._generators(p, dim, autos)
+    identity = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+    assert identity not in gens and set(gens) <= set(autos)
+    # each generator at least doubles the subgroup the earlier ones generate
+    assert 2 ** len(gens) <= len(autos)
+    closure = {_rows(g) for g in gens}
+    frontier = list(closure)
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = _matmul(p, _rows(g), x)
+            if y not in closure:
+                closure.add(y)
+                frontier.append(y)
+    assert closure == {_rows(h) for h in autos}
+
+
+def test_generators_follow_no_product_outside_the_list():
+    # g turns the plane by a quarter over F3; g^2 is left out of the list,
+    # so g^3 is not reached through it and joins the generators
+    g = ((0, 1), (2, 0))
+    g3 = ((0, 2), (1, 0))
+    assert search._generators(3, 2, [g, g3]) == [g, g3]
+    assert search._generators(3, 2, [g, ((2, 0), (0, 2)), g3]) == [g]
 
 
 def test_t6_orbit_count_by_burnside():

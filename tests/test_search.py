@@ -19,6 +19,7 @@ from rbx.errors import SearchSpaceTooLargeError, UnsupportedFieldError
 from rbx.fields import PrimeField, QuadraticExtension, Rationals
 from rbx.formats import algebra_from_text
 from rbx.linalg import Matrix
+from rbx.orbits import orbit_classify, pack_operator
 from rbx.rb import apply_phi, check_rb, is_splitting, trivial_rb_ops
 from rbx.search import (
     enumerate_automorphisms,
@@ -29,7 +30,12 @@ from rbx.search import (
     pack_columns,
 )
 
-from split_oracle import column0_orbits, column0_searched, record_rb_searches
+from split_oracle import (
+    column0_orbits,
+    column0_searched,
+    record_rb_search_results,
+    record_rb_searches,
+)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
@@ -388,18 +394,41 @@ def _basis_change(a, p_mat):
     [("m2_f3", 1, 290), ("gr2_f3", 0, 315), ("gr2_f3", 1, 148), ("sl2_f5", 1, 392),
      ("k3_f5", 0, 145)],
 )
-def test_basis_change_twins(name, weight, count):
-    # R is an operator on A^P exactly when P R P^-1 is one on A.  A^P
-    # declares no unit and no antiautomorphism, and its e_0 is P e_0, so its
-    # search runs under a smaller group and another stabiliser chain
+def test_basis_change_twins(monkeypatch, name, weight, count):
+    # R is an operator on A^P exactly when P R P^-1 is one on A, and psi an
+    # automorphism of A^P exactly when P psi P^-1 is one of A.  A^P declares
+    # no unit and no antiautomorphism, and its e_0 is P e_0, so its search
+    # runs under a smaller group and another stabiliser chain.  Where A
+    # declares no antiautomorphism either, both sort their operators by
+    # the same group, so P carries one orbit partition onto the other
     a = ALGEBRAS[name]()
     p_mat = _random_invertible(a.field, a.grading or (0,) * a.dim, random.Random(name))
     twin = _basis_change(a, p_mat)
     assert twin.table != a.table
     p_inv = p_mat.inverse()
-    pushed = sorted(
-        tuple(x.value for row in (p_mat * r.matrix * p_inv).data for x in row)
-        for r in enumerate_rb(twin, weight)
-    )
+    results = record_rb_search_results(monkeypatch)
+    report, twin_report = orbit_classify(a, weight), orbit_classify(twin, weight)
+    [(_, autos, _), (_, twin_autos, _)] = results
+
+    p = a.field.p
+    p_rows, inv_rows = ([[x.value for x in row] for row in m.data] for m in (p_mat, p_inv))
+
+    def push(rows):
+        """P X P^-1 on residues, for X given by its rows."""
+        px = [[sum(r[k] * x[j] for k, x in enumerate(rows)) % p for j in range(a.dim)]
+              for r in p_rows]
+        return tuple(tuple(sum(r[k] * s[j] for k, s in enumerate(inv_rows)) % p
+                           for j in range(a.dim)) for r in px)
+
+    def push_packed(key):
+        rows = [key[i * a.dim : (i + 1) * a.dim] for i in range(a.dim)]
+        return tuple(x for row in push(rows) for x in row)
+
+    pushed_autos = sorted(push(tuple(zip(*cols))) for cols in twin_autos)
+    assert pushed_autos == [tuple(zip(*cols)) for cols in autos]
+    pushed = {key: push_packed(key) for key in map(pack_operator, twin_report.operators)}
     assert len(pushed) == count
-    assert pushed == packed(enumerate_rb(a, weight))
+    assert sorted(pushed.values()) == [pack_operator(r) for r in report.operators]
+    if a.antiauto is None:
+        partition = {orb.members for orb in report.orbits}
+        assert {frozenset(map(pushed.get, orb.members)) for orb in twin_report.orbits} == partition
