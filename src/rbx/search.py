@@ -427,6 +427,8 @@ def _generators(p: int, dim: int, autos: list) -> list:
         queue.append((h, gen_rows[:]))
         reached.add(h)
         for x, by in queue:
+            if len(reached) == len(listed):
+                break
             for rows in by:
                 y = tuple(tuple(sum(map(mul, col, row)) % p for row in rows) for col in x)
                 if y in listed and y not in reached:
