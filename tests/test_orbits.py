@@ -259,7 +259,7 @@ def test_moves_closed_under_composition():
 
 # --- orbits from generators against the whole group ----------------------------
 
-BUILDERS = {
+ALGEBRAS = {
     "gr2_f3": lambda: grassmann2(F3),
     "m2_f3": lambda: matrix_algebra(F3, 2),
     "k3_f5": lambda: kaplansky3(F5),
@@ -285,7 +285,7 @@ def whole_group_orbits(p, moves, seeds):
     [("gr2_f3", 0), ("gr2_f3", 1), ("m2_f3", 0), ("m2_f3", 1), ("k3_f5", 0), ("sl2_f5", 1)],
 )
 def test_generator_orbits_match_whole_group_images(monkeypatch, name, weight):
-    a = BUILDERS[name]()
+    a = ALGEBRAS[name]()
     p = a.field.p
     results = record_rb_search_results(monkeypatch)
     report = orbit_classify(a, weight)
@@ -316,9 +316,9 @@ def _rows(cols):
     return tuple(zip(*cols))
 
 
-@pytest.mark.parametrize("name", sorted(BUILDERS))
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
 def test_generators_give_every_automorphism(name):
-    a = BUILDERS[name]()
+    a = ALGEBRAS[name]()
     p, dim = a.field.p, a.dim
     autos = search._automorphisms(search.IntAlgebra(a))
     gens = search._generators(p, dim, autos)
