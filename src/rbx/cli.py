@@ -16,7 +16,7 @@ import time
 
 from .algebras import Algebra
 from .errors import NotRBError, RbxError
-from .fields import PrimeField, Rationals
+from .fields import PrimeField, Rationals, bounded_int
 from .formats import (
     algebra_from_text,
     operator_from_text,
@@ -259,9 +259,13 @@ def _cmd_info(args) -> int:
 
 
 def _basis_index(token: str, dim: int) -> int:
-    if token.strip().isdecimal() and int(token) < dim:
-        return int(token)
-    raise RbxError(f"--first {token!r} is not a basis index in 0..{dim - 1}")
+    error = f"--first {token!r} is not a basis index in 0..{dim - 1}"
+    if not token.strip().isdecimal():
+        raise RbxError(error)
+    index = bounded_int(token.strip(), error, len(str(dim)))
+    if index >= dim:
+        raise RbxError(error)
+    return index
 
 
 def _verb_split(args) -> int:

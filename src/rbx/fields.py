@@ -73,6 +73,22 @@ def _sqrt_mod_prime(a: int, p: int) -> int | None:
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PRIME_BOUND = 3317044064679887385961981
 _TOO_LARGE = "p must be below 3.3e24, where primality is decided exactly"
+# int() refuses a decimal string of more digits with a ValueError
+MAX_DIGITS = 4300
+
+
+def bounded_int(text: str, error: str, max_digits: int = MAX_DIGITS) -> int:
+    """The value of a decimal literal (digits after an optional minus sign).
+
+    Raises InvalidSpecError(error) when it has more than max_digits digits
+    after its leading zeros.  The digits are counted before int() reads
+    them, and read without the leading zeros, which int() would count.
+    """
+    digits = text.lstrip("-").lstrip("0")
+    if len(digits) > max_digits:
+        raise InvalidSpecError(error)
+    value = int(digits or "0")
+    return -value if text.startswith("-") else value
 
 
 def _check_prime(p: int) -> None:
@@ -218,7 +234,8 @@ class Rationals(Field):
         # the denominator needs a nonzero digit
         if not re.fullmatch(r"-?\d+(/0*[1-9]\d*)?", text):
             raise InvalidSpecError(f"bad rational literal {text!r}")
-        return Fraction(text)
+        error = f"rational literal of more than {MAX_DIGITS} digits"
+        return Fraction(*(bounded_int(part, error) for part in text.split("/")))
 
 
 class PrimeField(Field):
@@ -285,7 +302,7 @@ class PrimeField(Field):
     def _parse(self, text):
         if not re.fullmatch(r"-?\d+", text):
             raise InvalidSpecError(f"bad residue literal {text!r}")
-        return int(text) % self.p
+        return bounded_int(text, f"residue literal of more than {MAX_DIGITS} digits") % self.p
 
     def _encoding(self, a):
         return a
@@ -399,10 +416,13 @@ class QuadraticExtension(Field):
     def _parse(self, text):
         m = re.fullmatch(r"(-?\d+)\+(-?\d+)\*s", text)
         if m:
-            return (int(m.group(1)) % self.p, int(m.group(2)) % self.p)
-        if re.fullmatch(r"-?\d+", text):
-            return (int(text) % self.p, 0)
-        raise InvalidSpecError(f"bad extension literal {text!r}")
+            u, v = m.groups()
+        elif re.fullmatch(r"-?\d+", text):
+            u, v = text, "0"
+        else:
+            raise InvalidSpecError(f"bad extension literal {text!r}")
+        error = f"extension literal of more than {MAX_DIGITS} digits"
+        return (bounded_int(u, error) % self.p, bounded_int(v, error) % self.p)
 
     def _encoding(self, x):
         return x[0] + x[1] * self.p
@@ -516,13 +536,10 @@ def field_from_text(text: str, allow_char2: bool = False) -> Field:
         raise InvalidSpecError(f"bad field spec {text!r}")
     if m.group(1) is None:
         return Rationals()
-    if len(m.group(1).lstrip("0")) > len(str(_PRIME_BOUND)):
-        # int() refuses strings of more than 4300 digits
-        raise InvalidSpecError(_TOO_LARGE)
-    p = int(m.group(1))
+    p = bounded_int(m.group(1), _TOO_LARGE, len(str(_PRIME_BOUND)))
     if m.group(2) is None:
         return PrimeField(p, allow_char2=allow_char2)
-    return QuadraticExtension(p, int(m.group(2)))
+    return QuadraticExtension(p, bounded_int(m.group(2), f"s= has more than {MAX_DIGITS} digits"))
 
 
 def field_to_text(field: Field) -> str:

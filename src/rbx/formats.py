@@ -28,7 +28,7 @@ import re
 
 from .algebras import Algebra, build_algebra
 from .errors import AlgebraMismatchError, InvalidSpecError
-from .fields import field_from_text, field_to_text
+from .fields import MAX_DIGITS, bounded_int, field_from_text, field_to_text
 from .linalg import Matrix, Vector
 from .rb import LinearOperator, RBOperator, coerce_weight
 from .ybe import Tensor2
@@ -106,11 +106,10 @@ def algebra_from_text(text: str, allow_char2: bool = False) -> Algebra:
     lines, m = _header(text, "algebra", _ALGEBRA_HEADER)
     name = m.group(1)
     field = field_from_text(m.group(2), allow_char2=allow_char2)
-    digits = m.group(3).lstrip("0") or "0"
-    # a long digit string is refused before int() reads it
-    if len(digits) > 2 or int(digits) > MAX_DIM:
-        raise InvalidSpecError(f"dim must be at most {MAX_DIM}")
-    dim = int(digits)
+    too_large = f"dim must be at most {MAX_DIM}"
+    dim = bounded_int(m.group(3), too_large, len(str(MAX_DIM)))
+    if dim > MAX_DIM:
+        raise InvalidSpecError(too_large)
     if dim < 1:
         raise InvalidSpecError("dim must be at least 1")
     basis = None
@@ -207,7 +206,7 @@ def tensor_to_text(t: Tensor2) -> str:
 
 def tensor_from_text(text: str, algebra: Algebra) -> Tensor2:
     lines, m = _header(text, "tensor", _TENSOR_HEADER, algebra)
-    count = int(m.group(2))
+    count = bounded_int(m.group(2), f"terms= has more than {MAX_DIGITS} digits")
     if len(lines) - 1 != count:
         raise InvalidSpecError(f"expected {count} term lines, got {len(lines) - 1}")
     field = algebra.field

@@ -43,8 +43,9 @@ generators of the group instead (_move_generators).
 
 All arithmetic here runs on plain integer residues.  Each result, searched
 or image, is checked once, on residues, against the relation of every
-ordered basis pair (_leaf_ok); a result that fails or a result found twice
-is an internal error and raises LeafRejectedError.
+ordered basis pair, all results in one pass that decides each distinct
+relation instance once (_passing); a result that fails or a result found
+twice is an internal error and raises LeafRejectedError.
 Only then do matrices become FieldElement objects, through constructors
 that do not check them again.
 """
@@ -119,19 +120,22 @@ class IntAlgebra:
 
 
 def _rb_pair(ia: IntAlgebra, w: int, cols, i: int, j: int):
-    """R sends v = R(b_i)b_j + b_iR(b_j) + w b_ib_j to u = R(b_i)R(b_j)."""
+    """R sends v = R(b_i)b_j + b_iR(b_j) + w b_ib_j to u = R(b_i)R(b_j);
+    reads only columns i and j of cols."""
     p = ia.p
     v = [(x + w * z) % p for x, z in zip(ia.leibniz(i, j, cols[i], cols[j]), ia.tvec[i][j])]
     return v, ia.product(cols[i], cols[j])
 
 
 def _auto_pair(ia: IntAlgebra, cols, i: int, j: int):
-    """psi sends v = b_ib_j to u = psi(b_i)psi(b_j)."""
+    """psi sends v = b_ib_j to u = psi(b_i)psi(b_j); reads only columns i
+    and j of cols."""
     return ia.tvec[i][j], ia.product(cols[i], cols[j])
 
 
 def _derivation_pair(ia: IntAlgebra, w: int, cols, i: int, j: int):
-    """d sends v = b_ib_j to u = d(b_i)b_j + b_id(b_j) + w d(b_i)d(b_j)."""
+    """d sends v = b_ib_j to u = d(b_i)b_j + b_id(b_j) + w d(b_i)d(b_j);
+    reads only columns i and j of cols."""
     u = ia.leibniz(i, j, cols[i], cols[j])
     if w:
         u = [(x + w * z) % ia.p for x, z in zip(u, ia.product(cols[i], cols[j]))]
@@ -296,24 +300,39 @@ def _full_pools(ia: IntAlgebra, auto: bool) -> list:
     ]
 
 
-def _leaf_ok(ia: IntAlgebra, pair, cols) -> bool:
-    """Whether a full column assignment meets the identity of pair.
+def _passing(ia: IntAlgebra, pair, leaves) -> list:
+    """The leaves (full column assignments) meeting the identity of pair,
+    in order: the map sends v to u, sum_m v[m] * C_m == u (mod p), on every
+    ordered basis pair (i, j), the pairs the FieldElement checkers test.
 
-    Tests that the map sends v to u, sum_m v[m] * cols[m] == u (mod p), on
-    every ordered basis pair (i, j), the pairs the FieldElement checkers
-    test.
+    pair(cols, i, j) reads only C_i and C_j, so it runs once per distinct
+    (C_i, C_j), and its relation is decided once per distinct tuple of the
+    C_m with v[m] != 0.  A leaf that fails a pair is dropped before the next.
     """
-    dim, p = ia.dim, ia.p
-    for i in range(dim):
-        for j in range(dim):
-            v, u = pair(cols, i, j)
-            acc = u
-            for m, cm in enumerate(v):
-                if cm:
-                    acc = [a - cm * x for a, x in zip(acc, cols[m])]
-            if any(a % p for a in acc):
-                return False
-    return True
+    p = ia.p
+    for i in range(ia.dim):
+        for j in range(ia.dim):
+            # (C_i, C_j) -> ((m, v[m]) with v[m] != 0, u, verdict per C_m tuple)
+            relations: dict = {}
+            kept = []
+            for cols in leaves:
+                rel = relations.get((cols[i], cols[j]))
+                if rel is None:
+                    v, u = pair(cols, i, j)
+                    terms = [(m, cm) for m, cm in enumerate(v) if cm]
+                    rel = relations[cols[i], cols[j]] = (terms, u, {})
+                terms, u, verdicts = rel
+                read = tuple([cols[m] for m, _ in terms])
+                ok = verdicts.get(read)
+                if ok is None:
+                    acc = u
+                    for (_, cm), col in zip(terms, read):
+                        acc = [a - cm * x for a, x in zip(acc, col)]
+                    ok = verdicts[read] = not any(a % p for a in acc)
+                if ok:
+                    kept.append(cols)
+            leaves = kept
+    return leaves
 
 
 def _keeps_grading(ia: IntAlgebra, cols) -> bool:
@@ -477,18 +496,19 @@ def _checked_leaves(ia: IntAlgebra, pair, auto: bool, moves=()) -> list:
     """Search, sort row-major, and check every result once on residues.
 
     moves, a group, splits the search by its stabiliser chain (_search).
-    A result found twice and any result, searched or image, that fails
-    _leaf_ok raise LeafRejectedError.
+    All results, searched and image, are checked in one _passing call; the
+    first in sorted order found twice or failing raises LeafRejectedError.
     """
     found = _search(ia, pair, _full_pools(ia, auto), moves)
     found.sort(key=lambda cols: pack_columns(cols, ia.dim))
+    passed = {id(cols) for cols in _passing(ia, pair, found)}
     prev = None
     for cols in found:
         if cols == prev:
             raise LeafRejectedError(
                 f"search leaf {pack_columns(cols, ia.dim)} on {ia.algebra.name} is found twice"
             )
-        if not _leaf_ok(ia, pair, cols) or (auto and not _keeps_grading(ia, cols)):
+        if id(cols) not in passed or (auto and not _keeps_grading(ia, cols)):
             raise LeafRejectedError(
                 f"search leaf {pack_columns(cols, ia.dim)} on {ia.algebra.name} "
                 "fails its leaf check"
@@ -578,13 +598,17 @@ def _guard(p: int, dim: int, limit: int):
 
 
 def enumerate_rb_raw(a: Algebra, weight) -> list[RBOperator]:
-    """Plain full enumeration of operator matrices; small spaces only."""
+    """Plain full enumeration of operator matrices; small spaces only.
+
+    Each sweep of the last column is one _passing call."""
     ia = IntAlgebra(a)
     _guard(ia.p, ia.dim, RAW_GUARD)
     w = coerce_weight(a.field, weight)
     pair = partial(_rb_pair, ia, w.value)
-    space = itertools.product(range(ia.p), repeat=ia.dim)
-    found = [cols for cols in itertools.product(space, repeat=ia.dim) if _leaf_ok(ia, pair, cols)]
+    space = list(itertools.product(range(ia.p), repeat=ia.dim))
+    found = []
+    for head in itertools.product(space, repeat=ia.dim - 1):
+        found += _passing(ia, pair, [(*head, last) for last in space])
     found.sort(key=lambda cols: pack_columns(cols, ia.dim))
     return _rb_operators(a, w, found)
 

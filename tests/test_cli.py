@@ -280,6 +280,44 @@ def test_prime_past_the_bound_exits_2(tmp_path):
     assert out.splitlines()[1] == "field=F1000000000000000003 dim=1"
 
 
+NINES = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv,source,old,new,message",
+    [
+        (("check", "--algebra", fx("j4_f5.alg"), "--op"), "ex11.op", "\n4 1 2 2",
+         f"\n{NINES} 1 2 2", "residue literal of more than 4300 digits"),
+        (("info", "--algebra"), "m2_q.alg", "\n0 1 1 1", f"\n0 1 1 1/{NINES}",
+         "rational literal of more than 4300 digits"),
+        (("convert", "--mode", "sandwich", "--algebra", fx("m4_q.alg"), "--tensor"),
+         "example16_q.tensor", "terms=4", f"terms={NINES}", "terms= has more than 4300 digits"),
+        (("info", "--algebra"), "j4_f5.alg", "field=F5", f"field=F5(s={NINES})",
+         "s= has more than 4300 digits"),
+    ],
+    ids=["element", "rational", "terms", "extension-root"],
+)
+def test_long_integer_exits_2(tmp_path, argv, source, old, new, message):
+    # int() refuses a string of more than 4300 digits with a ValueError
+    text = (FIXTURES / source).read_text(encoding="utf-8")
+    assert old in text
+    path = tmp_path / source
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    code, out, err = run(*argv, str(path))
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == f"error: {message}"
+
+
+def test_long_basis_index_exits_2():
+    code, out, err = run("construct", "split", "--algebra", fx("m2_q.alg"), "--first", NINES)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == f"error: --first '{NINES}' is not a basis index in 0..3"
+    # leading zeros are not counted
+    split = ("construct", "split", "--algebra", fx("m2_q.alg"), "--first")
+    plain, padded = run(*split, "0,1"), run(*split, "0," + "0" * 5000 + "1")
+    assert padded[:2] == plain[:2] and plain[0] == 0
+
+
 def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 

@@ -160,6 +160,42 @@ def test_bad_literal_rejected(field, text):
         field.parse(text)
 
 
+NINES = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "field,text,kind",
+    [
+        (F5, NINES, "residue"),
+        (F5, "-" + NINES, "residue"),
+        (E13, NINES, "extension"),
+        (E13, "1+" + NINES + "*s", "extension"),
+        (Q, NINES, "rational"),
+        (Q, "1/" + NINES, "rational"),
+    ],
+    ids=["residue", "negative-residue", "extension", "extension-s", "rational", "denominator"],
+)
+def test_long_literal_refused(field, text, kind):
+    # int() would refuse the 5000 digits with a ValueError
+    with pytest.raises(InvalidSpecError, match=f"^{kind} literal of more than 4300 digits$"):
+        field.parse(text)
+
+
+def test_longest_literal_read():
+    # 4300 digits after the leading zeros are still read, and reduced
+    digits = "0" * 10 + "9" * 4300
+    assert F5.parse(digits) == F5.element(10**4300 - 1)
+    assert E13.parse(f"{digits}+1*s") == E13.element(((10**4300 - 1) % 13, 1))
+    assert Q.parse(f"-1/{digits}") == Q.element(Fraction(-1, 10**4300 - 1))
+
+
+def test_long_extension_root_refused():
+    with pytest.raises(InvalidSpecError, match="^s= has more than 4300 digits$"):
+        field_from_text(f"F5(s={NINES})")
+    # a root of any length up to the bound is reduced mod p
+    assert field_from_text("F5(s=0000000000002)") == QuadraticExtension(5, 2)
+
+
 def test_extension_adjoined_root():
     s = E13.sqrt_symbol()
     assert s * s == E13.element(2)

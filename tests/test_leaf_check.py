@@ -1,12 +1,14 @@
 """The integer leaf check of the search against the FieldElement checkers.
 
-_leaf_ok (with the rank and grading checks for automorphisms) must agree
+_passing (with the rank and grading checks for automorphisms) must agree
 with check_rb, check_derivation_weight and check_automorphism on every
-matrix.  Random matrices are almost never in the solution set, so the
-draws mix in known members of it, and near misses one entry away.
+matrix, alone and in a batch of others.  Random matrices are almost never
+in the solution set, so the draws mix in known members of it, and near
+misses one entry away.
 
-The enumerators check each leaf once, on residues, and raise on a leaf
-that fails; the commands that take an operator check it once.
+The enumerators check all their leaves in one batch, once each, on
+residues, and raise on a leaf that fails; the commands that take an
+operator check it once.
 """
 
 import contextlib
@@ -31,9 +33,9 @@ from rbx.search import (
     _auto_pair,
     _columns_to_matrix,
     _derivation_pair,
-    _keeps_grading,
-    _leaf_ok,
     _inverse_mod_p,
+    _keeps_grading,
+    _passing,
     _rb_pair,
     enumerate_automorphisms,
     enumerate_derivations,
@@ -137,16 +139,27 @@ def auto_members(name: str) -> tuple:
     return tuple(out)
 
 
-def int_says(ia: IntAlgebra, kind: str, cols, w: int) -> bool:
+def pair_of(ia: IntAlgebra, kind: str, w: int):
     if kind == "rb":
-        return _leaf_ok(ia, functools.partial(_rb_pair, ia, w), cols)
+        return functools.partial(_rb_pair, ia, w)
     if kind == "derivation":
-        return _leaf_ok(ia, functools.partial(_derivation_pair, ia, w), cols)
-    return (
-        _leaf_ok(ia, functools.partial(_auto_pair, ia), cols)
-        and _inverse_mod_p(cols, ia.p) is not None
-        and _keeps_grading(ia, cols)
-    )
+        return functools.partial(_derivation_pair, ia, w)
+    return functools.partial(_auto_pair, ia)
+
+
+def int_passing(ia: IntAlgebra, kind: str, leaves, w: int) -> list:
+    """The leaves the integer check passes, as the enumerators check them."""
+    passed = _passing(ia, pair_of(ia, kind, w), leaves)
+    if kind == "auto":
+        return [
+            cols for cols in passed
+            if _inverse_mod_p(cols, ia.p) is not None and _keeps_grading(ia, cols)
+        ]
+    return passed
+
+
+def int_says(ia: IntAlgebra, kind: str, cols, w: int) -> bool:
+    return int_passing(ia, kind, [cols], w) == [cols]
 
 
 def field_says(ia: IntAlgebra, kind: str, cols, w: int) -> bool:
@@ -196,13 +209,77 @@ def test_leaf_check_matches_field_checker(name, kind):
     agree()
 
 
+# unital and not, commutative and not, graded; near misses of one member
+# share most of their columns, so a batch holds relations decided once for
+# several leaves
+BATCHED = ("gr2_f3", "k3_f5", "m2_f3", "j4_f5", "sl2_f7")
+
+
+@pytest.mark.parametrize(
+    "name,kind",
+    [(name, kind) for name in BATCHED for kind in ("rb", "derivation", "auto")]
+    + [(GRADED_GR2, "auto")],
+)
+def test_batch_check_matches_field_checker(name, kind):
+    # one batch per weight drawn, its leaves in the drawn order: each
+    # verdict must be the FieldElement checker's on that leaf alone
+    ia = load(name)
+
+    @given(st.lists(candidates(name, kind), min_size=1, max_size=12))
+    def agree(drawn):
+        for w in sorted({w for _, w in drawn}):
+            batch = [cols for cols, w_drawn in drawn if w_drawn == w]
+            expected = [cols for cols in batch if field_says(ia, kind, cols, w)]
+            assert int_passing(ia, kind, batch, w) == expected
+
+    agree()
+
+
+@pytest.mark.parametrize(
+    "kind,w,member,miss",
+    [
+        # R(e1e2) = 2 e1e2, or d(e1e2) = e1e2, alone breaks only the pairs
+        # (1, 2) and (2, 1), whose v = +-e1e2 reads column 3; their columns
+        # 1 and 2 are 0 in both maps
+        ("rb", 1, ((0,) * 4,) * 4, ((0,) * 4,) * 3 + ((0, 0, 0, 2),)),
+        ("derivation", 1, ((0,) * 4,) * 4, ((0,) * 4,) * 3 + ((0, 0, 0, 1),)),
+        # swapping e1 and e2 sends e1e2 to -e1e2, not to e1e2
+        (
+            "auto", 0,
+            ((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 2)),
+            ((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)),
+        ),
+    ],
+    ids=["rb", "derivation", "auto"],
+)
+def test_batch_verdict_reads_every_column_of_v(kind, w, member, miss):
+    # member and miss differ in column 3 only; miss breaks only pairs that
+    # read column 3 through v alone, not as C_i or C_j, so a verdict keyed
+    # on (C_i, C_j) would hand the verdict of one to the other
+    ia = load("gr2_f3")
+    pair = pair_of(ia, kind, w)
+    assert field_says(ia, kind, member, w) and not field_says(ia, kind, miss, w)
+    assert member[:3] == miss[:3]
+
+    def holds(i, j):
+        v, u = pair(miss, i, j)
+        acc = [sum(v[m] * miss[m][k] for m in range(4)) - u[k] for k in range(4)]
+        return not any(x % ia.p for x in acc)
+
+    broken = [(i, j) for i in range(4) for j in range(4) if not holds(i, j)]
+    assert broken and all(3 not in (i, j) and pair(miss, i, j)[0][3] for i, j in broken)
+    assert int_passing(ia, kind, [member, miss], w) == [member]
+    assert int_passing(ia, kind, [miss, member], w) == [member]
+
+
 def test_each_auto_leaf_check_rejects():
     # the rank and the grading check each reject maps that pass the pair
     # identity, and the field checker rejects them too
     ia = load(GRADED_GR2)
     verdicts = {"rank": 0, "grading": 0, "auto": 0}
-    for cols in auto_members(GRADED_GR2):
-        assert _leaf_ok(ia, functools.partial(_auto_pair, ia), cols)
+    members = list(auto_members(GRADED_GR2))
+    assert _passing(ia, functools.partial(_auto_pair, ia), members) == members
+    for cols in members:
         if _inverse_mod_p(cols, ia.p) is None:
             verdict = "rank"
         elif not _keeps_grading(ia, cols):
@@ -322,16 +399,23 @@ def count_calls(monkeypatch, owner, name: str) -> list:
     return calls
 
 
+def packed_ops(ops) -> list:
+    return [tuple(x.value for row in r.matrix.data for x in row) for r in ops]
+
+
 def test_enumerate_rb_tp4_f2_skips_field_checker(monkeypatch):
     checks = count_calls(monkeypatch, rb, "check_rb")
-    leaf = count_calls(monkeypatch, search, "_leaf_ok")
+    batches = count_calls(monkeypatch, search, "_passing")
     ops = enumerate_rb(termwise_power(PrimeField(2, allow_char2=True), 4), 1)
     assert len(ops) == 2000
     assert checks == []
-    # the automorphism search that splits the operator search checks its
-    # own 24 leaves
-    assert len([args for args in leaf if args[1].func is _rb_pair]) == len(ops)
-    assert len([args for args in leaf if args[1].func is _auto_pair]) == 24
+    # one batch of the operators, sorted; the automorphism search that
+    # splits the operator search checks its own 24 leaves in another
+    rb_leaves = [args[2] for args in batches if args[1].func is _rb_pair]
+    assert [[search.pack_columns(cols, 4) for cols in leaves] for leaves in rb_leaves] == [
+        packed_ops(ops)
+    ]
+    assert [len(args[2]) for args in batches if args[1].func is _auto_pair] == [24]
 
 
 @pytest.mark.parametrize("weight,count", [(0, 315), (1, 148)])
@@ -339,14 +423,14 @@ def test_one_integer_check_per_operator_and_image(monkeypatch, weight, count):
     # Gr2 has unit e_0: at weight 0 most operators are images of a searched
     # leaf, and each of them is checked once all the same
     checks = count_calls(monkeypatch, rb, "check_rb")
-    leaf = count_calls(monkeypatch, search, "_leaf_ok")
+    batches = count_calls(monkeypatch, search, "_passing")
     a = load("gr2_f3").algebra
     ops = enumerate_rb(a, weight)
     assert len(ops) == count
     assert checks == []
-    rb_leaves = [args[2] for args in leaf if args[1].func is _rb_pair]
-    assert [search.pack_columns(cols, 4) for cols in rb_leaves] == [
-        tuple(x.value for row in r.matrix.data for x in row) for r in ops
+    rb_leaves = [args[2] for args in batches if args[1].func is _rb_pair]
+    assert [[search.pack_columns(cols, 4) for cols in leaves] for leaves in rb_leaves] == [
+        packed_ops(ops)
     ]
 
 
@@ -357,7 +441,7 @@ def test_one_integer_check_per_leaf(monkeypatch, kind):
         count_calls(monkeypatch, rb, "check_derivation_weight"),
         count_calls(monkeypatch, algebras, "check_automorphism"),
     ]
-    leaf = count_calls(monkeypatch, search, "_leaf_ok")
+    batches = count_calls(monkeypatch, search, "_passing")
     leaves = []
     real_search = search._search
 
@@ -371,7 +455,9 @@ def test_one_integer_check_per_leaf(monkeypatch, kind):
     found = enumerate_derivations(a, 1) if kind == "derivation" else enumerate_automorphisms(a)
     assert len(found) == (730 if kind == "derivation" else 432)
     assert all(calls == [] for calls in oracles)
-    assert [args[2] for args in leaf] == sorted(leaves, key=lambda c: search.pack_columns(c, 4))
+    assert [args[2] for args in batches] == [
+        sorted(leaves, key=lambda c: search.pack_columns(c, 4))
+    ]
 
 
 # --- one check per user-supplied operator ------------------------------------
