@@ -38,6 +38,8 @@ _OPERATOR_HEADER = re.compile(r"operator\s+algebra=(\S+)\s+weight=(\S+)")
 _TENSOR_HEADER = re.compile(r"tensor\s+algebra=(\S+)\s+terms=(\d+)")
 # the product table holds dim^3 cells; the largest shipped algebra has dim 16
 MAX_DIM = 64
+# the builder names that carry their size: M<n>, TP<k>, J(..) and CD(..)
+_SIZED_NAME = re.compile(r"(M|TP)(\d+)|(J|CD)\(([^)]*)\)")
 
 
 def _content_lines(text: str) -> list[str]:
@@ -146,14 +148,35 @@ def algebra_from_text(text: str, allow_char2: bool = False) -> Algebra:
         for i in range(dim)
     ]
     parsed = Algebra(field, name, basis, cells, unit=unit, grading=grading)
-    try:
-        rebuilt = build_algebra(field, name)
-    except InvalidSpecError:
-        return parsed.validate()
-    if rebuilt == parsed and rebuilt.basis == parsed.basis:
-        # canonical algebra: keep the builder's structural extras
-        return rebuilt
+    if _builds_dim(name, dim):
+        try:
+            rebuilt = build_algebra(field, name)
+        except InvalidSpecError:
+            return parsed.validate()
+        if rebuilt == parsed and rebuilt.basis == parsed.basis:
+            # canonical algebra: keep the builder's structural extras
+            return rebuilt
     return parsed.validate()
+
+
+def _builds_dim(name: str, dim: int) -> bool:
+    """False when build_algebra would give name a dimension other than dim.
+
+    M<n> has n^2, TP<k> k, J(d1,..,dn) n + 1 and CD(a1,..,ak) 2^k; the
+    sizes are compared before any table of dim^3 cells is built.  Other
+    names have one small size each, or are no builder's.
+    """
+    m = _SIZED_NAME.fullmatch(name)
+    if m is None:
+        return True
+    if m.group(2):
+        try:
+            n = bounded_int(m.group(2), "size past MAX_DIM", len(str(MAX_DIM)))
+        except InvalidSpecError:
+            return False
+        return (n * n if m.group(1) == "M" else n) == dim
+    k = m.group(4).count(",") + 1
+    return (k + 1 if m.group(3) == "J" else 2**k) == dim
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,9 @@ class Matrix:
         data = tuple(as_vector(field, row) for row in rows)
         if data and any(len(r) != len(data[0]) for r in data):
             raise DimensionMismatchError("ragged rows")
+        self._fill(field, data)
+
+    def _fill(self, field: Field, data: tuple) -> None:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "nrows", len(data))
@@ -71,6 +74,17 @@ class Matrix:
         raise AttributeError("Matrix is immutable")
 
     # --- constructors ---------------------------------------------------
+    @classmethod
+    def _trusted(cls, field: Field, data: tuple) -> "Matrix":
+        """The matrix whose rows are data, taken as they are.
+
+        Only for callers whose data is already a tuple of equal-length
+        tuples of field's own elements.
+        """
+        m = cls.__new__(cls)
+        m._fill(field, data)
+        return m
+
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
         one, zero = field.one, field.zero

@@ -13,7 +13,10 @@ Each is stated once, by _rb_pair, _auto_pair and _derivation_pair.  The
 relation is the linear equation sum_m v[m] * column_m = u, and the last
 column d with v[d] != 0 decides it.  A relation whose d is already assigned
 is a consistency check (prune on failure); any other is filed under d, and
-at column d it forces the value instead of enumerating the pool.  Columns
+at column d it forces the value instead of enumerating the pool.  Before
+the search each column c's pool loses, once, the values that fail pair
+(c, c) where its v reads column c alone: the pair reads only that column,
+so such a value fails every full assignment (_node_consistent).  Columns
 are assigned in index order and candidate values are tried in
 lexicographic order, so the result list is deterministic; a raw
 enumerator with none of this machinery double-checks the pruned one on
@@ -24,16 +27,15 @@ enumerate_rb, orbit_classify and the pattern claims, modulo a group on
 every algebra, by its stabiliser chain.  The moves (conjugation by every
 automorphism, by the recorded antiautomorphism, and at weight 0 scaling
 by every nonzero scalar; the group orbit_classify sorts operators by) map
-operators to operators, and so, at weight w != 0, does
-phi(R) = -R - w id, which the search adds to them.  A move
-R -> left * R * right + offset * I whose right factor fixes e_0..e_c and
-which fixes the columns R(e_0)..R(e_{c-1}) already chosen sends the
-operators that have those columns and R(e_c) = v bijectively to those
-that have them and R(e_c) = left * v + offset * e_c, and such moves form
-a group.  So
-every column runs over one value per orbit of that group, and every
-operator with another value u is the image of a result below the searched
-value under the first move that reaches u (McKay, Isomorph-free exhaustive
+operators to operators, and so, at weight w != 0, does phi(R) = -R - w id,
+which the search adds to them.  A move R -> left * R * right + offset * I
+whose right factor fixes e_0..e_c and which fixes the columns
+R(e_0)..R(e_{c-1}) already chosen sends the operators that have those
+columns and R(e_c) = v bijectively to those that have them and
+R(e_c) = left * v + offset * e_c, and such moves form a group.  So every
+column runs over one value per orbit of that group, and every operator
+with another value u is the image of a result below the searched value
+under the first move that reaches u (McKay, Isomorph-free exhaustive
 generation, J. Algorithms 26, 1998).  The next column runs under the moves
 that also fix the chosen value and e_{c+1}.  When no move but the identity
 is left, the search below is the plain one.  Automorphisms and derivations
@@ -45,9 +47,9 @@ All arithmetic here runs on plain integer residues.  Each result, searched
 or image, is checked once, on residues, against the relation of every
 ordered basis pair, all results in one pass that decides each distinct
 relation instance once (_passing); a result that fails or a result found
-twice is an internal error and raises LeafRejectedError.
-Only then do matrices become FieldElement objects, through constructors
-that do not check them again.
+twice is an internal error and raises LeafRejectedError.  Only then do
+matrices become FieldElement objects, one per residue shared by every
+entry, through constructors that do not check them again.
 """
 
 from __future__ import annotations
@@ -159,21 +161,25 @@ def _new_pairs(dim: int, commutative: bool):
 def _search(ia: IntAlgebra, pair, pools, moves=()) -> list:
     """All full column assignments meeting the relation of every basis pair.
 
-    A relation is filed under its last unknown column d, with the columns
-    known when it came up subtracted; at column d every relation filed
-    there fixes the column by itself, and they must agree on a pool value.
-    With no moves this is the plain search, the oracle the split one is
-    tested against.  Otherwise moves is a group of (left, right^T, offset)
-    moves that map results to results, and the search is split by its
-    stabiliser chain.  Column c runs under the moves whose right factor
-    fixes e_0..e_c and which fix the columns already chosen; they act on
-    column c by v -> left * v + offset * e_c.  Only the first passing value
-    of each orbit is searched, and every result below it brings its images
-    under the first move that reaches each other member of the orbit
-    (_orbit).  Column c + 1 runs under the moves among these that fix the
-    searched value and e_{c+1}.
+    Each pool is first cut by _node_consistent: a value it drops fails
+    pair (c, c), which reads column c alone, so no result holds it and the
+    results and their order are those of the whole pools.  A relation is
+    filed under its last unknown column d, with the columns known when it
+    came up subtracted; at column d every relation filed there fixes the
+    column by itself, and they must agree on a pool value.  With no moves
+    this is the plain search, the oracle the split one is tested against.
+    Otherwise moves is a group of (left, right^T, offset) moves that map
+    results to results, and the search is split by its stabiliser chain.
+    Column c runs under the moves whose right factor fixes e_0..e_c and
+    which fix the columns already chosen; they act on column c by
+    v -> left * v + offset * e_c.  Only the first passing value of each
+    orbit is searched, and every result below it brings its images under
+    the first move that reaches each other member of the orbit (_orbit).
+    Column c + 1 runs under the moves among these that fix the searched
+    value and e_{c+1}.
     """
     pair_plan = _new_pairs(ia.dim, ia.commutative)
+    pools = _node_consistent(ia, pair, pools)
     pool_sets = [frozenset(pool) for pool in pools]
     dim, p = ia.dim, ia.p
     # due[d]: (c, v, rest) for each relation whose last unknown column is d,
@@ -257,6 +263,16 @@ def _search(ia: IntAlgebra, pair, pools, moves=()) -> list:
     return extend(0, [None] * dim, [move for move in moves if _fixes(move, 0)], [])
 
 
+def _node_consistent(ia: IntAlgebra, pair, pools) -> list:
+    """Each pool without the values y that fail pair (c, c) while its v
+    reads C_c alone, as y then fails every full assignment (node
+    consistency: Mackworth, Consistency in networks of relations, 1977)."""
+    def keeps(c, y):
+        v, u = pair([y] * ia.dim, c, c)  # reads C_c only
+        return any(v[:c] + v[c + 1:]) or all((v[c] * x - r) % ia.p == 0 for x, r in zip(y, u))
+    return [[y for y in pool if keeps(c, y)] for c, pool in enumerate(pools)]
+
+
 def _orbit(p: int, c: int, v: tuple, group) -> tuple:
     """The orbit of column value v under v -> left * v + offset * e_c.
 
@@ -282,8 +298,16 @@ def pack_columns(cols, dim: int) -> tuple:
     return tuple(cols[j][i] for i in range(dim) for j in range(dim))
 
 
+def _columns_to_matrices(field, found, dim: int) -> list[Matrix]:
+    """The matrices of residue column assignments, one shared FieldElement
+    per residue."""
+    elements = tuple(field.elements())
+    return [Matrix._trusted(field, tuple(tuple(elements[col[i]] for col in cols)
+                                         for i in range(dim))) for cols in found]
+
+
 def _columns_to_matrix(field, cols, dim: int) -> Matrix:
-    return Matrix(field, [[field.element(cols[j][i]) for j in range(dim)] for i in range(dim)])
+    return _columns_to_matrices(field, [cols], dim)[0]
 
 
 def _full_pools(ia: IntAlgebra, auto: bool) -> list:
@@ -545,10 +569,8 @@ def _rb_search(a: Algebra, weight) -> tuple:
 
 
 def _rb_operators(a: Algebra, w, found) -> list[RBOperator]:
-    return [
-        RBOperator._verified(LinearOperator(a, _columns_to_matrix(a.field, cols, a.dim)), w)
-        for cols in found
-    ]
+    return [RBOperator._verified(LinearOperator(a, m), w)
+            for m in _columns_to_matrices(a.field, found, a.dim)]
 
 
 def enumerate_rb(a: Algebra, weight) -> list[RBOperator]:
@@ -574,7 +596,7 @@ def _automorphisms(ia: IntAlgebra) -> list:
 
 def enumerate_automorphisms(a: Algebra) -> list[Matrix]:
     """All algebra automorphisms as matrices, in the order of _automorphisms."""
-    return [_columns_to_matrix(a.field, cols, a.dim) for cols in _automorphisms(IntAlgebra(a))]
+    return _columns_to_matrices(a.field, _automorphisms(IntAlgebra(a)), a.dim)
 
 
 def enumerate_derivations(a: Algebra, weight) -> list[LinearOperator]:
@@ -582,7 +604,7 @@ def enumerate_derivations(a: Algebra, weight) -> list[LinearOperator]:
     ia = IntAlgebra(a)
     w = coerce_weight(a.field, weight)
     found = _checked_leaves(ia, partial(_derivation_pair, ia, w.value), auto=False)
-    return [LinearOperator(a, _columns_to_matrix(a.field, cols, ia.dim)) for cols in found]
+    return [LinearOperator(a, m) for m in _columns_to_matrices(a.field, found, ia.dim)]
 
 
 # ---------------------------------------------------------------------------
@@ -617,11 +639,8 @@ def enumerate_automorphisms_raw(a: Algebra) -> list[Matrix]:
     """Filter every matrix through check_automorphism; small spaces only."""
     ia = IntAlgebra(a)
     _guard(ia.p, ia.dim, RAW_AUTO_GUARD)
-    out = []
     space = itertools.product(range(ia.p), repeat=ia.dim)
-    for cols in itertools.product(space, repeat=ia.dim):
-        m = _columns_to_matrix(a.field, cols, ia.dim)
-        if check_automorphism(a, m):
-            out.append((pack_columns(cols, ia.dim), m))
-    out.sort(key=lambda t: t[0])
-    return [m for _, m in out]
+    found = [cols for cols in itertools.product(space, repeat=ia.dim)
+             if check_automorphism(a, _columns_to_matrix(a.field, cols, ia.dim))]
+    found.sort(key=lambda cols: pack_columns(cols, ia.dim))
+    return _columns_to_matrices(a.field, found, ia.dim)

@@ -308,6 +308,22 @@ def test_long_integer_exits_2(tmp_path, argv, source, old, new, message):
     assert err.splitlines()[0] == f"error: {message}"
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["M13", f"M{NINES}", f"TP{NINES}", "CD(" + ",".join(["1"] * 12) + ")"],
+    ids=["M13", "M-long", "TP-long", "CD12"],
+)
+def test_builder_name_of_another_dim_prints_info(tmp_path, name):
+    # a file may name a builder's algebra of another dim: it is read as
+    # written, without building the named one
+    path = tmp_path / "named.alg"
+    path.write_text(f"algebra {name} field=F3 dim=1\nbasis a\n", encoding="utf-8")
+    code, out, err = run("info", "--algebra", str(path))
+    assert code == 0
+    assert out.splitlines()[:2] == [f"algebra {name}", "field=F3 dim=1"]
+    assert [ln for ln in err.splitlines() if not ln.startswith("elapsed:")] == []
+
+
 def test_long_basis_index_exits_2():
     code, out, err = run("construct", "split", "--algebra", fx("m2_q.alg"), "--first", NINES)
     assert (code, out) == (2, "")

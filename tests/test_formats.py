@@ -2,6 +2,7 @@ import pathlib
 
 import pytest
 
+from rbx import formats
 from rbx.algebras import build_algebra, grassmann2, jordan_form, matrix_algebra
 from rbx.errors import AlgebraMismatchError, InvalidSpecError
 from rbx.fields import PrimeField, QuadraticExtension, Rationals
@@ -48,6 +49,32 @@ def test_fixture_structure_reattached():
     assert j.quadratic is not None
     k = algebra_from_text(read("k3_f5.alg"))
     assert k.grading == (0, 1, 1)
+    # names that carry their size, each of its file's own dim
+    assert algebra_from_text(read("m2_q.alg")).matrix_shape == 2
+    assert algebra_from_text(read("m4_q.alg")).matrix_shape == 4
+    assert algebra_from_text(read("j3_f5.alg")).quadratic is not None
+    assert algebra_from_text(read("cd_f5.alg")).quadratic is not None
+
+
+NINES = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["M13", "M3", f"M{NINES}", "TP2", f"TP{NINES}", "J(" + ",".join(["1"] * 60) + ")",
+     "CD(" + ",".join(["1"] * 12) + ")"],
+    ids=["M13", "M3", "M-long", "TP2", "TP-long", "J60", "CD12"],
+)
+def test_builder_name_of_another_dim_is_not_built(monkeypatch, name):
+    # the name's size is not the header's dim, so the builder's algebra
+    # cannot be the parsed one and is not built: M13 would fill 169^3 cells,
+    # CD with 12 entries 4096^3, and the long names are past int()'s limit
+    def refused(field, spec):
+        raise AssertionError(f"built {spec[:20]}")
+
+    monkeypatch.setattr(formats, "build_algebra", refused)
+    a = algebra_from_text(f"algebra {name} field=F3 dim=1\nbasis a\n0 0 0 1\n")
+    assert (a.name, a.dim, a.matrix_shape) == (name, 1, None)
 
 
 def test_custom_algebra_kept_as_is():

@@ -291,6 +291,52 @@ def test_each_auto_leaf_check_rejects():
     assert all(verdicts.values())
 
 
+# --- values the search drops before it starts --------------------------------
+
+
+@functools.cache
+def dropped(name: str, kind: str, w: int) -> tuple:
+    """Per column, the values _node_consistent cuts from its pool."""
+    ia = load(name)
+    pools = search._full_pools(ia, kind == "auto")
+    cut = search._node_consistent(ia, pair_of(ia, kind, w), pools)
+    return tuple(sorted(set(pool) - set(kept)) for pool, kept in zip(pools, cut))
+
+
+@pytest.mark.parametrize(
+    "name,kind",
+    [(name, kind) for name in ("gr2_f3", "m2_f3", "k3_f5", "j3_f5", "j4_f5")
+     for kind in ("rb", "derivation", "auto")]
+    + [(GRADED_GR2, "auto")],
+)
+def test_dropped_values_fail_the_field_checker(name, kind):
+    # a matrix whose column c is a value cut from column c's pool is no
+    # result, whatever its other columns hold: random ones, or those of a
+    # known member, which would pass with its own column c
+    ia = load(name)
+    p, dim = ia.p, ia.dim
+    weights = [0] if kind == "auto" else range(p)
+    assert any(any(dropped(name, kind, w)) for w in weights)
+
+    @given(st.data())
+    def rejected(data):
+        w = data.draw(st.sampled_from([w for w in weights if any(dropped(name, kind, w))]))
+        cut = dropped(name, kind, w)
+        c = data.draw(st.sampled_from([c for c in range(dim) if cut[c]]))
+        members = {"rb": rb_members, "derivation": derivation_members}.get(kind)
+        known = members(name, w) if members else auto_members(name)
+        if data.draw(st.booleans()):
+            cols = list(data.draw(st.sampled_from(known)))
+        else:
+            flat = data.draw(st.lists(st.integers(0, p - 1), min_size=dim * dim,
+                                      max_size=dim * dim))
+            cols = [tuple(flat[j * dim : (j + 1) * dim]) for j in range(dim)]
+        cols[c] = data.draw(st.sampled_from(cut[c]))
+        assert not field_says(ia, kind, tuple(cols), w)
+
+    rejected()
+
+
 # --- inverses on residues ----------------------------------------------------
 
 

@@ -432,3 +432,69 @@ def test_basis_change_twins(monkeypatch, name, weight, count):
     if a.antiauto is None:
         partition = {orb.members for orb in report.orbits}
         assert {frozenset(map(pushed.get, orb.members)) for orb in twin_report.orbits} == partition
+
+
+# --- node consistency: each pool cut once by its own pair (c, c) -------------
+
+
+def _pair(ia, kind, weight):
+    if kind == "rb":
+        return functools.partial(search._rb_pair, ia, weight % ia.p)
+    if kind == "derivation":
+        return functools.partial(search._derivation_pair, ia, weight % ia.p)
+    return functools.partial(search._auto_pair, ia)
+
+
+@pytest.mark.parametrize("name", ["gr2_f3", "m2_f3", "k3_f5", "j3_f5", "tp2_f3_false_unit",
+                                  "sl2_f5"])
+@pytest.mark.parametrize("kind,weight", [("rb", 0), ("rb", 1), ("rb", 2), ("auto", 0),
+                                         ("derivation", 0), ("derivation", 1)])
+def test_cut_pools_change_no_search(monkeypatch, name, kind, weight):
+    # every _search the enumerator runs (for operators: the automorphisms,
+    # then the split search under their moves) returns the same list, in
+    # the same order, as on the whole pools
+    real_search, real_cut = search._search, search._node_consistent
+    searched = []
+
+    def both(ia, pair, pools, moves=()):
+        found = real_search(ia, pair, pools, moves)
+        monkeypatch.setattr(search, "_node_consistent", lambda ia, pair, pools: pools)
+        whole = real_search(ia, pair, pools, moves)
+        monkeypatch.setattr(search, "_node_consistent", real_cut)
+        assert found == whole
+        searched.append(pair.func)
+        return found
+
+    monkeypatch.setattr(search, "_search", both)
+    a = ALGEBRAS[name]()
+    if kind == "rb":
+        enumerate_rb(a, weight)
+    elif kind == "derivation":
+        enumerate_derivations(a, weight)
+    else:
+        enumerate_automorphisms(a)
+    expected = {"rb": [search._auto_pair, search._rb_pair], "auto": [search._auto_pair],
+                "derivation": [search._derivation_pair]}[kind]
+    assert searched == expected
+
+
+@pytest.mark.parametrize(
+    "name,kind,weight,sizes",
+    [
+        ("gr2_f3", "auto", 0, [1, 26, 26, 26]),
+        ("gr2_f3", "rb", 1, [80, 27, 27, 27]),
+        ("gr2_f3", "derivation", 1, [2, 27, 27, 27]),
+        ("m2_f3", "auto", 0, [13, 8, 8, 13]),
+        # pair (c, c) reads another column on every value, or no value fails it
+        ("tp4_f2", "rb", 1, [16, 16, 16, 16]),
+        ("sl2_f5", "rb", 1, [125, 125, 125]),
+        ("sl2_f5", "auto", 0, [124, 124, 124]),
+    ],
+)
+def test_cut_pool_sizes(name, kind, weight, sizes):
+    ia = search.IntAlgebra(ALGEBRAS[name]())
+    pools = search._full_pools(ia, kind == "auto")
+    cut = search._node_consistent(ia, _pair(ia, kind, weight), pools)
+    assert [len(pool) for pool in cut] == sizes
+    # a cut pool keeps its values in the whole pool's order
+    assert all(sorted(kept) == kept and set(kept) <= set(pool) for kept, pool in zip(cut, pools))
