@@ -7,9 +7,10 @@ relation v |-> u, "the map sends v to u", with both vectors known:
 
     Rota-Baxter R   R(b_i)b_j + b_iR(b_j) + w b_ib_j  |->  R(b_i)R(b_j)
     automorphism    b_ib_j  |->  psi(b_i)psi(b_j)
-    derivation d    b_ib_j  |->  d(b_i)b_j + b_id(b_j) + w d(b_i)d(b_j)
 
-Each is stated once, by _rb_pair, _auto_pair and _derivation_pair.  The
+Each is stated once, by _rb_pair and _auto_pair.  Derivations need no
+third: d has weight w != 0 exactly when id + w d is multiplicative (Guo and
+Keigher, JPAA 212, 2008); at w = 0 they are a nullspace.  The
 relation is the linear equation sum_m v[m] * column_m = u, and the last
 column d with v[d] != 0 decides it.  A relation whose d is already assigned
 is a consistency check (prune on failure); any other is filed under d, and
@@ -38,10 +39,10 @@ with another value u is the image of a result below the searched value
 under the first move that reaches u (McKay, Isomorph-free exhaustive
 generation, J. Algorithms 26, 1998).  The next column runs under the moves
 that also fix the chosen value and e_{c+1}.  When no move but the identity
-is left, the search below is the plain one.  Automorphisms and derivations
-take the plain search.  The split needs every move of the group, for the
-stabiliser of each node; orbit_classify closes its orbits from a few
-generators of the group instead (_move_generators).
+is left, the search below is the plain one.  Automorphisms, and derivations
+at w != 0, take the plain search.  The split needs every move of the group,
+for the stabiliser of each node; orbit_classify closes its orbits from a
+few generators of the group instead (_move_generators).
 
 All arithmetic here runs on plain integer residues.  Each result, searched
 or image, is checked once, on residues, against the relation of every
@@ -55,13 +56,13 @@ entry, through constructors that do not check them again.
 from __future__ import annotations
 
 import itertools
-from functools import partial
+from functools import cache, partial
 from operator import mul
 
 from .algebras import Algebra, check_automorphism
 from .errors import LeafRejectedError, SearchSpaceTooLargeError, UnsupportedFieldError
 from .fields import PrimeField
-from .linalg import Matrix
+from .linalg import Matrix, rank_nullspace
 from .rb import LinearOperator, RBOperator, coerce_weight
 
 RAW_GUARD = 1 << 26
@@ -133,15 +134,6 @@ def _auto_pair(ia: IntAlgebra, cols, i: int, j: int):
     """psi sends v = b_ib_j to u = psi(b_i)psi(b_j); reads only columns i
     and j of cols."""
     return ia.tvec[i][j], ia.product(cols[i], cols[j])
-
-
-def _derivation_pair(ia: IntAlgebra, w: int, cols, i: int, j: int):
-    """d sends v = b_ib_j to u = d(b_i)b_j + b_id(b_j) + w d(b_i)d(b_j);
-    reads only columns i and j of cols."""
-    u = ia.leibniz(i, j, cols[i], cols[j])
-    if w:
-        u = [(x + w * z) % ia.p for x, z in zip(u, ia.product(cols[i], cols[j]))]
-    return ia.tvec[i][j], u
 
 
 def _new_pairs(dim: int, commutative: bool):
@@ -294,8 +286,9 @@ def _orbit(p: int, c: int, v: tuple, group) -> tuple:
 
 
 def pack_columns(cols, dim: int) -> tuple:
-    """Row-major integer tuple of a column assignment; the sort key."""
-    return tuple(cols[j][i] for i in range(dim) for j in range(dim))
+    """Row-major integer tuple of a column assignment; the sort key.  Built
+    from a list, it is allocated at its size, so a freed key is reused."""
+    return tuple([cols[j][i] for i in range(dim) for j in range(dim)])
 
 
 def _columns_to_matrices(field, found, dim: int) -> list[Matrix]:
@@ -599,12 +592,44 @@ def enumerate_automorphisms(a: Algebra) -> list[Matrix]:
     return _columns_to_matrices(a.field, _automorphisms(IntAlgebra(a)), a.dim)
 
 
+def _leibniz_rows(ia: IntAlgebra) -> list:
+    """d(b_ib_j) = d(b_i)b_j + b_id(b_j), a row per b_k, over d row-major."""
+    dim, tvec = ia.dim, ia.tvec
+    rows = []
+    for i, j, k in itertools.product(range(dim), repeat=3):
+        row = [0] * (dim * dim)
+        for m in range(dim):
+            row[k * dim + m] += tvec[i][j][m]
+            row[m * dim + i] -= tvec[m][j][k]
+            row[m * dim + j] -= tvec[i][m][k]
+        rows.append([x % ia.p for x in row])
+    return rows
+
+
 def enumerate_derivations(a: Algebra, weight) -> list[LinearOperator]:
-    """All maps obeying the weighted derivation identity, sorted row-major."""
-    ia = IntAlgebra(a)
-    w = coerce_weight(a.field, weight)
-    found = _checked_leaves(ia, partial(_derivation_pair, ia, w.value), auto=False)
-    return [LinearOperator(a, m) for m in _columns_to_matrices(a.field, found, ia.dim)]
+    """All maps obeying the weighted derivation identity, sorted row-major:
+    at w != 0, (phi - id) / w for each checked multiplicative phi, each column
+    built once; at w = 0, the nullspace of _leibniz_rows, listed by its
+    coefficients on the reduced basis, whose ascending pivots keep the order."""
+    ia, w = IntAlgebra(a), coerce_weight(a.field, weight).value
+    p, dim = ia.p, ia.dim
+    if w:
+        inv = pow(w, p - 2, p)
+        back = cache(lambda c, y: tuple((x - (k == c)) * inv % p for k, x in enumerate(y)))
+        found = sorted((tuple(map(back, range(dim), phi))
+                        for phi in _checked_leaves(ia, partial(_auto_pair, ia), auto=False)),
+                       key=lambda cols: pack_columns(cols, dim))
+    else:
+        rows = _leibniz_rows(ia)
+        basis = [[x.value for x in b] for b in rank_nullspace(Matrix(a.field, rows))[1].basis]
+        if p ** len(basis) > RAW_GUARD:
+            raise SearchSpaceTooLargeError(f"{p}^{len(basis)} maps exceed the enumeration guard")
+        if any(sum(map(mul, row, b)) % p for b in basis for row in rows):
+            raise LeafRejectedError(f"a derivation basis vector on {a.name} fails its check")
+        flat = [tuple(sum(c * b[n] for c, b in zip(cs, basis)) % p for n in range(dim * dim))
+                for cs in itertools.product(range(p), repeat=len(basis))]
+        found = [tuple(v[c::dim] for c in range(dim)) for v in flat]
+    return [LinearOperator(a, m) for m in _columns_to_matrices(a.field, found, dim)]
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,16 @@ def test_malformed_algebra_file_exits_2(tmp_path, text):
         assert err.startswith("error: ")
 
 
+def test_oversized_weight0_derivations_exit_2(tmp_path):
+    # the zero product on F5^4: every map is a derivation, 5^16 of them
+    path = tmp_path / "z4.alg"
+    path.write_text("algebra Z4 field=F5 dim=4\nbasis a b c d\n", encoding="utf-8")
+    code, out, err = run("enumerate", "--algebra", str(path), "--kind", "derivation",
+                         "--weight", "0")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == "error: 5^16 maps exceed the enumeration guard"
+
+
 def test_prime_past_the_bound_exits_2(tmp_path):
     # the square root of 10^400 overflows a float, and trial division up to
     # that of 10^18 + 3 takes 10^9 steps; p past 3.3e24 is refused
@@ -439,6 +449,11 @@ GOLDEN = {
     # search with scalars
     "enumerate-sl2_f7-derivation-w1": ("enumerate", "--algebra", fx("sl2_f7.alg"),
                                        "--kind", "derivation", "--weight", "1"),
+    # derivations from a nullspace at w = 0; mapped back by 1/w = 3 at w = 2
+    "enumerate-k3_f5-derivation-w0": ("enumerate", "--algebra", fx("k3_f5.alg"),
+                                      "--kind", "derivation", "--weight", "0"),
+    "enumerate-j3_f5-derivation-w2": ("enumerate", "--algebra", fx("j3_f5.alg"),
+                                      "--kind", "derivation", "--weight", "2"),
     "enumerate-j3_f5-rb-w1": ("enumerate", "--algebra", fx("j3_f5.alg"), "--weight", "1"),
     "enumerate-gr2_f3-rb-w0": ("enumerate", "--algebra", fx("gr2_f3.alg"), "--weight", "0"),
     # the case through QuadraticStructure.t; the case over F13; the unit tags

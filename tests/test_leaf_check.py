@@ -2,7 +2,9 @@
 
 _passing (with the rank and grading checks for automorphisms) must agree
 with check_rb, check_derivation_weight and check_automorphism on every
-matrix, alone and in a batch of others.  Random matrices are almost never
+matrix, alone and in a batch of others.  A weight-w derivation d is checked
+as enumerate_derivations finds it: at w != 0 through phi = id + w d and the
+automorphism pair, at w = 0 against the rows of _leibniz_rows.  Random matrices are almost never
 in the solution set, so the draws mix in known members of it, and near
 misses one entry away.
 
@@ -14,6 +16,7 @@ operator check it once.
 import contextlib
 import functools
 import io
+import operator
 import pathlib
 import sys
 
@@ -27,16 +30,18 @@ from rbx.cli import main
 from rbx.errors import LeafRejectedError, NotInvertibleError
 from rbx.fields import PrimeField
 from rbx.formats import algebra_from_text, operator_from_text
+from rbx.linalg import Subspace
 from rbx.rb import LinearOperator, check_derivation_weight, check_rb
 from rbx.search import (
     IntAlgebra,
     _auto_pair,
     _columns_to_matrix,
-    _derivation_pair,
     _inverse_mod_p,
     _keeps_grading,
+    _leibniz_rows,
     _passing,
     _rb_pair,
+    pack_columns,
     enumerate_automorphisms,
     enumerate_derivations,
     enumerate_rb,
@@ -140,15 +145,29 @@ def auto_members(name: str) -> tuple:
 
 
 def pair_of(ia: IntAlgebra, kind: str, w: int):
+    """The pair the search checks: a derivation d through phi_of(d)."""
     if kind == "rb":
         return functools.partial(_rb_pair, ia, w)
-    if kind == "derivation":
-        return functools.partial(_derivation_pair, ia, w)
     return functools.partial(_auto_pair, ia)
+
+
+def phi_of(ia: IntAlgebra, cols, w: int) -> tuple:
+    """id + w d, multiplicative exactly when d is a weight-w derivation."""
+    return tuple(tuple((w * x + (k == c)) % ia.p for k, x in enumerate(col))
+                 for c, col in enumerate(cols))
 
 
 def int_passing(ia: IntAlgebra, kind: str, leaves, w: int) -> list:
     """The leaves the integer check passes, as the enumerators check them."""
+    if kind == "derivation" and not w:
+        rows = _leibniz_rows(ia)
+        return [cols for cols in leaves
+                if not any(sum(map(operator.mul, row, pack_columns(cols, ia.dim))) % ia.p
+                           for row in rows)]
+    if kind == "derivation":
+        phis = [phi_of(ia, cols, w) for cols in leaves]
+        passed = {id(phi) for phi in _passing(ia, pair_of(ia, kind, w), phis)}
+        return [cols for cols, phi in zip(leaves, phis) if id(phi) in passed]
     passed = _passing(ia, pair_of(ia, kind, w), leaves)
     if kind == "auto":
         return [
@@ -238,9 +257,9 @@ def test_batch_check_matches_field_checker(name, kind):
 @pytest.mark.parametrize(
     "kind,w,member,miss",
     [
-        # R(e1e2) = 2 e1e2, or d(e1e2) = e1e2, alone breaks only the pairs
-        # (1, 2) and (2, 1), whose v = +-e1e2 reads column 3; their columns
-        # 1 and 2 are 0 in both maps
+        # R(e1e2) = 2 e1e2, or d(e1e2) = e1e2 (phi(e1e2) = 2 e1e2), alone
+        # breaks only the pairs (1, 2) and (2, 1), whose v = +-e1e2 reads
+        # column 3; their columns 1 and 2 are the same in both maps
         ("rb", 1, ((0,) * 4,) * 4, ((0,) * 4,) * 3 + ((0, 0, 0, 2),)),
         ("derivation", 1, ((0,) * 4,) * 4, ((0,) * 4,) * 3 + ((0, 0, 0, 1),)),
         # swapping e1 and e2 sends e1e2 to -e1e2, not to e1e2
@@ -260,14 +279,16 @@ def test_batch_verdict_reads_every_column_of_v(kind, w, member, miss):
     pair = pair_of(ia, kind, w)
     assert field_says(ia, kind, member, w) and not field_says(ia, kind, miss, w)
     assert member[:3] == miss[:3]
+    # a derivation is searched and checked as phi = id + w d
+    leaf = phi_of(ia, miss, w) if kind == "derivation" else miss
 
     def holds(i, j):
-        v, u = pair(miss, i, j)
-        acc = [sum(v[m] * miss[m][k] for m in range(4)) - u[k] for k in range(4)]
+        v, u = pair(leaf, i, j)
+        acc = [sum(v[m] * leaf[m][k] for m in range(4)) - u[k] for k in range(4)]
         return not any(x % ia.p for x in acc)
 
     broken = [(i, j) for i in range(4) for j in range(4) if not holds(i, j)]
-    assert broken and all(3 not in (i, j) and pair(miss, i, j)[0][3] for i, j in broken)
+    assert broken and all(3 not in (i, j) and pair(leaf, i, j)[0][3] for i, j in broken)
     assert int_passing(ia, kind, [member, miss], w) == [member]
     assert int_passing(ia, kind, [miss, member], w) == [member]
 
@@ -296,11 +317,20 @@ def test_each_auto_leaf_check_rejects():
 
 @functools.cache
 def dropped(name: str, kind: str, w: int) -> tuple:
-    """Per column, the values _node_consistent cuts from its pool."""
+    """Per column, the values _node_consistent cuts from its pool; for a
+    derivation, the d(b_c) whose phi(b_c) = b_c + w d(b_c) it cuts, and
+    none at w = 0, where nothing is searched."""
     ia = load(name)
+    if kind == "derivation" and not w:
+        return ((),) * ia.dim
     pools = search._full_pools(ia, kind == "auto")
     cut = search._node_consistent(ia, pair_of(ia, kind, w), pools)
-    return tuple(sorted(set(pool) - set(kept)) for pool, kept in zip(pools, cut))
+    out = tuple(sorted(set(pool) - set(kept)) for pool, kept in zip(pools, cut))
+    if kind != "derivation":
+        return out
+    inv = pow(w, ia.p - 2, ia.p)
+    return tuple(sorted(tuple((x - (k == c)) * inv % ia.p for k, x in enumerate(y)) for y in ys)
+                 for c, ys in enumerate(out))
 
 
 @pytest.mark.parametrize(
@@ -381,6 +411,19 @@ def test_rejected_derivation_leaf_raises(monkeypatch):
     corrupt_search(monkeypatch, BAD)
     with pytest.raises(LeafRejectedError):
         enumerate_derivations(ia.algebra, 1)
+
+
+def test_rejected_derivation_basis_raises(monkeypatch):
+    # at weight 0 nothing is searched: a nullspace basis vector that fails
+    # the Leibniz rows is rejected before any member is listed
+    ia = load("k3_f3")
+    field = ia.algebra.field
+    assert not check_derivation_weight(
+        LinearOperator(ia.algebra, _columns_to_matrix(field, BAD, 3)), 0)
+    bad = Subspace(field, 9, [pack_columns(BAD, 3)])
+    monkeypatch.setattr(search, "rank_nullspace", lambda m: (8, bad))
+    with pytest.raises(LeafRejectedError, match="basis vector"):
+        enumerate_derivations(ia.algebra, 0)
 
 
 def test_rejected_auto_leaf_raises(monkeypatch):

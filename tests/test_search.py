@@ -20,7 +20,7 @@ from rbx.fields import PrimeField, QuadraticExtension, Rationals
 from rbx.formats import algebra_from_text
 from rbx.linalg import Matrix
 from rbx.orbits import orbit_classify, pack_operator
-from rbx.rb import apply_phi, check_rb, is_splitting, trivial_rb_ops
+from rbx.rb import apply_phi, check_derivation_weight, check_rb, is_splitting, trivial_rb_ops
 from rbx.search import (
     enumerate_automorphisms,
     enumerate_automorphisms_raw,
@@ -169,6 +169,41 @@ def test_derivation_enumeration():
     invertible = [d for d in ders if d.matrix.rank() == 4]
     assert len(invertible) == 1
     assert invertible[0].matrix == Matrix.identity(F3, 4).scale(-1)
+
+
+# every prime-field fixture: Der(A) = p^k maps at weight 0
+DERIVATIONS_W0 = {
+    "gr2_f3": 6, "k3_f3": 3, "k3_f5": 3, "m2_f3": 3, "j3_f5": 1, "j4_f5": 3, "j4_f13": 3,
+    "sl2_f7": 3, "cd_f5": 3,
+}
+
+
+@pytest.mark.parametrize("name,exponent", DERIVATIONS_W0.items())
+def test_weight0_derivations_are_a_power_of_p(name, exponent):
+    # listed from a nullspace basis, not searched; j4_f13 (2197 maps) is
+    # beyond the reach of a column search.  Each passes the FieldElement
+    # checker.
+    a = _fixture(name)
+    ders = enumerate_derivations(a, 0)
+    assert len(ders) == a.field.p ** exponent
+    keys = packed(ders)
+    assert keys == sorted(set(keys))
+    assert all(check_derivation_weight(d, 0) for d in ders)
+
+
+@pytest.mark.parametrize("weight", [1, 2])
+@pytest.mark.parametrize("name,count", [("gr2_f3", 432), ("m2_f3", 24), ("j3_f5", 8)])
+def test_invertible_id_plus_wd_are_the_automorphisms(name, weight, count):
+    # d is a weight-w derivation exactly when id + w d is multiplicative;
+    # over F5, 1/2 != 2 tells a map back by w from one by 1/w
+    a = _fixture(name)
+    ident = Matrix.identity(a.field, a.dim)
+    phis = [ident + d.matrix.scale(weight) for d in enumerate_derivations(a, weight)]
+    invertible = sorted(tuple(c.value for row in m.data for c in row)
+                        for m in phis if m.rank() == a.dim)
+    autos = [tuple(c.value for row in m.data for c in row) for m in enumerate_automorphisms(a)]
+    assert len(autos) == count
+    assert invertible == sorted(autos)
 
 
 def test_unsupported_fields_rejected():
@@ -438,10 +473,10 @@ def test_basis_change_twins(monkeypatch, name, weight, count):
 
 
 def _pair(ia, kind, weight):
+    """The pair each kind searches with; derivations at w != 0 search the
+    multiplicative maps id + w d."""
     if kind == "rb":
         return functools.partial(search._rb_pair, ia, weight % ia.p)
-    if kind == "derivation":
-        return functools.partial(search._derivation_pair, ia, weight % ia.p)
     return functools.partial(search._auto_pair, ia)
 
 
@@ -451,8 +486,9 @@ def _pair(ia, kind, weight):
                                          ("derivation", 0), ("derivation", 1)])
 def test_cut_pools_change_no_search(monkeypatch, name, kind, weight):
     # every _search the enumerator runs (for operators: the automorphisms,
-    # then the split search under their moves) returns the same list, in
-    # the same order, as on the whole pools
+    # then the split search under their moves; for derivations at w != 0
+    # the multiplicative maps, at w = 0 none) returns the same list, in the
+    # same order, as on the whole pools
     real_search, real_cut = search._search, search._node_consistent
     searched = []
 
@@ -474,7 +510,7 @@ def test_cut_pools_change_no_search(monkeypatch, name, kind, weight):
     else:
         enumerate_automorphisms(a)
     expected = {"rb": [search._auto_pair, search._rb_pair], "auto": [search._auto_pair],
-                "derivation": [search._derivation_pair]}[kind]
+                "derivation": [search._auto_pair] if weight else []}[kind]
     assert searched == expected
 
 
@@ -483,6 +519,7 @@ def test_cut_pools_change_no_search(monkeypatch, name, kind, weight):
     [
         ("gr2_f3", "auto", 0, [1, 26, 26, 26]),
         ("gr2_f3", "rb", 1, [80, 27, 27, 27]),
+        # the multiplicative maps id + d, over every column
         ("gr2_f3", "derivation", 1, [2, 27, 27, 27]),
         ("m2_f3", "auto", 0, [13, 8, 8, 13]),
         # pair (c, c) reads another column on every value, or no value fails it
