@@ -4,12 +4,13 @@ Three moves preserve the Rota-Baxter property with my conventions:
 conjugation by any algebra automorphism, conjugation by a recorded
 antiautomorphism (transposition on matrix algebras), and, for weight zero
 only, rescaling the whole matrix.  The moves generate a finite group.
-orbit_classify takes the automorphisms and the operators from one call of
-search._rb_search, which also serves enumerate_rb and the pattern claims,
-and partitions the operators.  Each orbit is closed breadth first from a
-few generators of the group (search._move_generators: generators of the
-automorphisms, the antiautomorphism, the nonzero scalars at weight 0), in
-plain integer arithmetic, at |orbit| * |generators| images instead of
+orbit_classify takes the strong generators of the automorphisms and the
+operators from one call of search._rb_search, which also serves
+enumerate_rb and the pattern claims, and partitions the operators.  Each
+orbit is closed breadth first from a few generators of the group
+(residues._move_generators: the strong generators of the automorphisms'
+stabiliser chain, the antiautomorphism, the nonzero scalars at weight 0),
+in plain integer arithmetic, at |orbit| * |generators| images instead of
 |orbit| * |group| (Holt, Eick and O'Brien, Handbook of Computational Group
 Theory, 2005, section 4.1).  The canonical representative is the
 row-major smallest member.  The operator search is split by the
@@ -40,17 +41,8 @@ from .rb import (
     is_splitting,
     weight0_matrix_ops,
 )
-from .search import (
-    _conjugate,
-    _move_generators,
-    _move_kinds,
-    _rb_operators,
-    _rb_search,
-    _to_int_rows,
-    enumerate_derivations,
-    enumerate_rb,
-    pack_columns,
-)
+from .residues import _conjugate, _move_generators, _move_kinds, _to_int_rows, pack_columns
+from .search import _rb_operators, _rb_search, enumerate_derivations, enumerate_rb
 
 
 def _pack_rows(rows: tuple) -> tuple:
@@ -151,15 +143,15 @@ def orbit_classify(a: Algebra, weight) -> OrbitReport:
     """Every Rota-Baxter operator of the weight on a, in orbits under the
     three moves.
 
-    The automorphisms come from one search, which also finds the operators
-    split by the stabiliser chain of the moves (with phi at weight != 0);
-    the orbits are closed from a few generators of the moves, without phi.
+    The automorphisms come from one stabiliser chain, whose group splits
+    the operator search (with phi at weight != 0); the orbits are closed
+    from the moves of its strong generators, without phi.
     An image of an operator that is not itself an operator raises
     OrbitEscapeError.
     """
-    w, autos, found = _rb_search(a, weight)
+    w, strong, found = _rb_search(a, weight)
     p, dim = a.field.p, a.dim
-    gens = _move_generators(p, dim, autos, *_move_kinds(a, w))
+    gens = _move_generators(p, dim, strong, *_move_kinds(a, w))
     by_key = dict(zip((pack_columns(cols, dim) for cols in found), _rb_operators(a, w, found)))
     orbits = []
     # found is sorted and each orbit is closed, so each orbit's seed is its
@@ -260,9 +252,10 @@ def _claim_m2_weight0(p: int, weight: int) -> tuple[bool, list[str]]:
     return ok, lines
 
 
-def _closure_of_patterns(p: int, autos: list, patterns) -> set:
-    """The images of the patterns (rows) under conjugation by autos."""
-    gens = _move_generators(p, len(autos[0]), autos)
+def _closure_of_patterns(p: int, strong: list, patterns: list) -> set:
+    """The images of the patterns (rows) under conjugation by every
+    automorphism, closed from the strong generators."""
+    gens = _move_generators(p, len(patterns[0]), strong)
     seeds = (tuple(zip(*rows)) for rows in patterns)
     return set().union(*(members for _, members in _orbits(p, gens, seeds)))
 
@@ -287,12 +280,12 @@ def _claim_pattern_closure(
     # when the pattern conjugates are exactly the enumerated operators, so
     # every operator is reached, and nothing else is
     a = build(PrimeField(p))
-    _, autos, found = _rb_search(a, weight)
+    _, strong, found = _rb_search(a, weight)
     keys = {pack_columns(cols, a.dim) for cols in found}
     # the closure is this claim's peak: on Gr2/F3 holding the columns
     # through it raised peak RSS by about 0.15 MB
     del found
-    closure = _closure_of_patterns(p, autos, patterns(p))
+    closure = _closure_of_patterns(p, strong, patterns(p))
     lines = [
         f"{label} over F{p} weight {weight}: {len(keys)} operators, "
         f"{len(closure)} pattern conjugates, outside the closure: {len(keys - closure)}"

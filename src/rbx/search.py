@@ -39,10 +39,14 @@ with another value u is the image of a result below the searched value
 under the first move that reaches u (McKay, Isomorph-free exhaustive
 generation, J. Algorithms 26, 1998).  The next column runs under the moves
 that also fix the chosen value and e_{c+1}.  When no move but the identity
-is left, the search below is the plain one.  Automorphisms, and derivations
-at w != 0, take the plain search.  The split needs every move of the group,
-for the stabiliser of each node; orbit_classify closes its orbits from a
-few generators of the group instead (_move_generators).
+is left, the search below is the plain one.  Derivations at w != 0 take
+the plain search.  Automorphisms come from a stabiliser chain of their own
+group, built level by level with one plain search per value that no
+automorphism found so far reaches (_automorphisms); the group is then
+listed once from the chain's transversals, with every member's inverse.
+The split needs every move of the group, for the stabiliser of each node;
+orbit_classify closes its orbits from the moves of the chain's strong
+generators instead (residues._move_generators).
 
 All arithmetic here runs on plain integer residues.  Each result, searched
 or image, is checked once, on residues, against the relation of every
@@ -64,6 +68,21 @@ from .errors import LeafRejectedError, SearchSpaceTooLargeError, UnsupportedFiel
 from .fields import PrimeField
 from .linalg import Matrix, rank_nullspace
 from .rb import LinearOperator, RBOperator, coerce_weight
+from .residues import (
+    _close,
+    _columns_to_matrices,
+    _columns_to_matrix,
+    _conjugate,
+    _fixes,
+    _identity,
+    _inverse_mod_p,
+    _listed,
+    _move_kinds,
+    _moves,
+    _orbit,
+    _transversal,
+    pack_columns,
+)
 
 RAW_GUARD = 1 << 26
 # each raw automorphism candidate is checked through FieldElement arithmetic
@@ -153,15 +172,18 @@ def _new_pairs(dim: int, commutative: bool):
 def _search(ia: IntAlgebra, pair, pools, moves=()) -> list:
     """All full column assignments meeting the relation of every basis pair.
 
-    Each pool is first cut by _node_consistent: a value it drops fails
-    pair (c, c), which reads column c alone, so no result holds it and the
-    results and their order are those of the whole pools.  A relation is
-    filed under its last unknown column d, with the columns known when it
-    came up subtracted; at column d every relation filed there fixes the
-    column by itself, and they must agree on a pool value.  With no moves
-    this is the plain search, the oracle the split one is tested against.
-    Otherwise moves is a group of (left, right^T, offset) moves that map
-    results to results, and the search is split by its stabiliser chain.
+    pools holds, per column, its values in the order they are tried, as a
+    dict that maps each to itself (a list serves when there are no moves).
+    Callers cut them first (_pools, _node_consistent): a value the cut
+    drops fails pair (c, c), which reads column c alone, so no result
+    holds it and the results and their order are those of the whole
+    pools.  A relation is filed under its last unknown column d, with the
+    columns known when it came up subtracted; at column d every relation
+    filed there fixes the column by itself, and they must agree on a pool
+    value.  With no moves this is the plain search, the oracle the split
+    one is tested against.  Otherwise moves is a group of
+    (left, right^T, offset) moves that map results to results, and the
+    search is split by its stabiliser chain.
     Column c runs under the moves whose right factor fixes e_0..e_c and
     which fix the columns already chosen; they act on column c by
     v -> left * v + offset * e_c.  Only the first passing value of each
@@ -171,18 +193,16 @@ def _search(ia: IntAlgebra, pair, pools, moves=()) -> list:
     value and e_{c+1}.
     """
     pair_plan = _new_pairs(ia.dim, ia.commutative)
-    pools = _node_consistent(ia, pair, pools)
-    pool_sets = [frozenset(pool) for pool in pools]
     dim, p = ia.dim, ia.p
     # due[d]: (c, v, rest) for each relation whose last unknown column is d,
     # rest being u minus the columns up to c, those known when it came up
     due: list = [[] for _ in range(dim)]
-    # image columns are the pool's own tuples, as searched columns are
-    shared = {v: v for pool in pools for v in pool} if moves else {}
 
     def image(move, cols):
+        # image columns are the pool's own tuples, as searched columns are
         packed = _conjugate(p, move, cols)
-        return tuple(shared.get(col, col) for col in (packed[j::dim] for j in range(dim)))
+        return tuple(pools[j].get(col, col) for j, col in
+                     enumerate(packed[j::dim] for j in range(dim)))
 
     def forced(c, cols):
         """The value every relation due at c fixes, or None if two differ."""
@@ -203,7 +223,7 @@ def _search(ia: IntAlgebra, pair, pools, moves=()) -> list:
     def extend(c, cols, group, results):
         if due[c]:
             col = forced(c, cols)
-            candidates = (col,) if col in pool_sets[c] else ()
+            candidates = (col,) if col in pools[c] else ()
         else:
             candidates = pools[c]
         # the identity alone splits nothing
@@ -265,44 +285,6 @@ def _node_consistent(ia: IntAlgebra, pair, pools) -> list:
     return [[y for y in pool if keeps(c, y)] for c, pool in enumerate(pools)]
 
 
-def _orbit(p: int, c: int, v: tuple, group) -> tuple:
-    """The orbit of column value v under v -> left * v + offset * e_c.
-
-    Returns the first move of group reaching each other member, and the
-    stabiliser of v: the moves that send v to itself.
-    """
-    reach = {}
-    stabiliser = []
-    for move in group:
-        left, _, offset = move
-        u = [sum(map(mul, row, v)) for row in left]
-        u[c] += offset
-        u = tuple(x % p for x in u)
-        if u == v:
-            stabiliser.append(move)
-        elif u not in reach:
-            reach[u] = move
-    return reach, stabiliser
-
-
-def pack_columns(cols, dim: int) -> tuple:
-    """Row-major integer tuple of a column assignment; the sort key.  Built
-    from a list, it is allocated at its size, so a freed key is reused."""
-    return tuple([cols[j][i] for i in range(dim) for j in range(dim)])
-
-
-def _columns_to_matrices(field, found, dim: int) -> list[Matrix]:
-    """The matrices of residue column assignments, one shared FieldElement
-    per residue."""
-    elements = tuple(field.elements())
-    return [Matrix._trusted(field, tuple(tuple(elements[col[i]] for col in cols)
-                                         for i in range(dim))) for cols in found]
-
-
-def _columns_to_matrix(field, cols, dim: int) -> Matrix:
-    return _columns_to_matrices(field, [cols], dim)[0]
-
-
 def _full_pools(ia: IntAlgebra, auto: bool) -> list:
     """Per column, every column vector in lexicographic order; for
     automorphisms (auto), only the nonzero ones inside the grade of their
@@ -361,163 +343,19 @@ def _keeps_grading(ia: IntAlgebra, cols) -> bool:
     )
 
 
-def _inverse_mod_p(rows, p: int):
-    """Inverse over F_p of a square residue matrix, or None when singular.
-
-    Gauss-Jordan on the given vectors as rows, returning the rows of the
-    inverse.  The inverse of the transpose is the transpose of the inverse,
-    so columns given in return the columns of the inverse.
-    """
-    dim = len(rows)
-    aug = [list(row) + [int(r == k) for k in range(dim)] for r, row in enumerate(rows)]
-    for c in range(dim):
-        pivot = next((r for r in range(c, dim) if aug[r][c]), None)
-        if pivot is None:
-            return None
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv = pow(aug[c][c], p - 2, p)
-        aug[c] = [x * inv % p for x in aug[c]]
-        for r in range(dim):
-            f = aug[r][c]
-            if f and r != c:
-                aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[c])]
-    return tuple(tuple(row[dim:]) for row in aug)
+def _pools(ia: IntAlgebra, pair, auto: bool) -> list:
+    """Per column, the pool cut by _node_consistent, as a dict that maps
+    each value to itself in lexicographic order."""
+    return [dict(zip(pool, pool)) for pool in _node_consistent(ia, pair, _full_pools(ia, auto))]
 
 
-def _to_int_rows(m: Matrix) -> tuple:
-    return tuple(tuple(e.value for e in row) for row in m.data)
+def _check(ia: IntAlgebra, pair, found, auto: bool) -> list:
+    """found, which the caller sorted row-major, once every result in it
+    is checked on residues.
 
-
-def _matmul(p: int, a: tuple, b: tuple) -> tuple:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n))
-        for i in range(n)
-    )
-
-
-def _moves(p: int, autos: list, antiauto=None, scalars=(1,)) -> list:
-    """Every move of the group, as (left, right^T, 0) residue moves.
-
-    A move (left, right^T, offset) sends R to left * R * right + offset * I;
-    the moves built here have offset 0.  Each automorphism h of autos
-    gives R -> h^-1 R h, and with antiauto t also R -> t h^-1 R h t^-1;
-    each of these is then scaled by every one of scalars.  When autos is
-    the whole automorphism group (_automorphisms) the result is the whole
-    group: t normalises Aut and t*t is an automorphism, so Aut and t*Aut
-    together are closed under composition, and scalars commute with
-    conjugation.  The split search needs every move, for the stabiliser
-    of each node (_orbit); orbits are closed from _move_generators.
-    """
-    pairs = [(_inverse_mod_p(rows, p), rows) for rows in (tuple(zip(*h)) for h in autos)]
-    if antiauto is not None:
-        t = _to_int_rows(antiauto)
-        tinv = _inverse_mod_p(t, p)
-        pairs += [(_matmul(p, t, inv), _matmul(p, h, tinv)) for inv, h in pairs]
-    return [
-        (tuple(tuple(s * x % p for x in row) for row in left), tuple(zip(*right)), 0)
-        for left, right in pairs
-        for s in scalars
-    ]
-
-
-def _identity(dim: int) -> tuple:
-    return tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
-
-
-def _move_kinds(a: Algebra, w) -> tuple:
-    """(antiauto, scalars) for the moves of operators of weight w on a.
-
-    Beside conjugation by each automorphism, a move conjugates by the
-    antiautomorphism a records, if any, and at weight 0 it scales by any
-    nonzero scalar (s * R has weight s * w, so only weight 0 is kept).
-    """
-    return a.antiauto, ((1,) if w.value else range(1, a.field.p))
-
-
-def _generators(p: int, dim: int, autos: list) -> list:
-    """A few members of autos whose products are every member.
-
-    autos are walked in order, and a member joins when the products of
-    those chosen so far do not reach it (the empty product being the
-    identity).  The closure is built one generator at a time: each member
-    reached is composed once with each generator, and a product outside
-    autos is not followed, so it costs at most |autos| * |generators|
-    compositions even when autos is not a group.  The walk stops once every
-    member is reached.  On a group each generator at least doubles the
-    subgroup reached, so there are at most log2 |autos| of them.
-    """
-    listed = set(autos)
-    reached = {_identity(dim)} & listed
-    gens: list = []
-    gen_rows: list = []  # each generator g by its rows, which g o x reads
-    for h in autos:
-        if len(reached) == len(listed):
-            break
-        if h in reached:
-            continue
-        gens.append(h)
-        gen_rows.append(tuple(zip(*h)))
-        # the members reached so far are closed under the earlier generators
-        queue = [(x, gen_rows[-1:]) for x in reached]
-        queue.append((h, gen_rows[:]))
-        reached.add(h)
-        for x, by in queue:
-            if len(reached) == len(listed):
-                break
-            for rows in by:
-                y = tuple(tuple(sum(map(mul, col, row)) % p for row in rows) for col in x)
-                if y in listed and y not in reached:
-                    reached.add(y)
-                    queue.append((y, gen_rows[:]))
-    return gens
-
-
-def _move_generators(p: int, dim: int, autos: list, antiauto=None, scalars=(1,)) -> list:
-    """Generators of the group _moves(p, autos, antiauto, scalars) lists.
-
-    They are the conjugations by a few automorphisms that generate autos
-    (_generators), the conjugation R -> t R t^-1 by antiauto t if given,
-    and the scaling by each of scalars but 1; every move is a product of
-    these.
-    """
-    gens = _moves(p, _generators(p, dim, autos))
-    if antiauto is not None:
-        t = _to_int_rows(antiauto)
-        gens.append((t, tuple(zip(*_inverse_mod_p(t, p))), 0))
-    identity = _identity(dim)
-    gens += [(tuple(tuple(s * x for x in row) for row in identity), identity, 0)
-             for s in scalars if s != 1]
-    return gens
-
-
-def _fixes(move: tuple, j: int) -> bool:
-    """Whether the right factor of a move sends e_j to e_j."""
-    right_t = move[1]
-    return right_t[j] == tuple(int(k == j) for k in range(len(right_t)))
-
-
-def _conjugate(p: int, move: tuple, cols: tuple) -> tuple:
-    """The packed rows of left * R * right + offset * I, for R given by its
-    columns."""
-    left, right_t, offset = move
-    lr = [[sum(map(mul, row, col)) for col in cols] for row in left]
-    packed = tuple(sum(map(mul, row, col)) % p for row in lr for col in right_t)
-    if not offset:
-        return packed
-    step = len(cols) + 1
-    return tuple((x + offset) % p if k % step == 0 else x for k, x in enumerate(packed))
-
-
-def _checked_leaves(ia: IntAlgebra, pair, auto: bool, moves=()) -> list:
-    """Search, sort row-major, and check every result once on residues.
-
-    moves, a group, splits the search by its stabiliser chain (_search).
     All results, searched and image, are checked in one _passing call; the
-    first in sorted order found twice or failing raises LeafRejectedError.
+    first found twice or failing raises LeafRejectedError.
     """
-    found = _search(ia, pair, _full_pools(ia, auto), moves)
-    found.sort(key=lambda cols: pack_columns(cols, ia.dim))
     passed = {id(cols) for cols in _passing(ia, pair, found)}
     prev = None
     for cols in found:
@@ -534,31 +372,42 @@ def _checked_leaves(ia: IntAlgebra, pair, auto: bool, moves=()) -> list:
     return found
 
 
-def _rb_search(a: Algebra, weight) -> tuple:
-    """The operators of the given weight on a, and the automorphisms.
+def _checked_leaves(ia: IntAlgebra, pair, auto: bool, moves=()) -> list:
+    """Search, sort row-major, and check every result once on residues.
 
-    Returns (w, autos, found): the weight in a's field, every automorphism
-    (_automorphisms), and every operator as checked residue columns,
-    sorted row-major (_checked_leaves).  The search is split by the
-    stabiliser chain of the moves of operators: conjugation by autos and
-    the antiautomorphism, scaling at weight 0 (_moves, _move_kinds).  At
-    w != 0 the reflection phi(R) = -R - w * I joins them for the search
-    only: phi commutes with every conjugation and left * right = I for
-    every move, so phi o (left, right^T, 0) is (-left, right^T, -w) and the
-    moves with these still form a group.
+    moves, a group, splits the search by its stabiliser chain (_search).
+    """
+    found = _search(ia, pair, _pools(ia, pair, auto), moves)
+    found.sort(key=lambda cols: pack_columns(cols, ia.dim))
+    return _check(ia, pair, found, auto)
+
+
+def _rb_search(a: Algebra, weight) -> tuple:
+    """The operators of the given weight on a, and Aut's strong generators.
+
+    Returns (w, strong, found): the weight in a's field, the strong
+    generators of the automorphisms (_automorphisms), and every operator as
+    checked residue columns, sorted row-major (_checked_leaves).  The
+    search is split by the stabiliser chain of the moves of operators:
+    conjugation by every automorphism and the antiautomorphism, scaling at
+    weight 0 (_moves, _move_kinds).  At w != 0 the reflection
+    phi(R) = -R - w * I joins them for the search only: phi commutes with
+    every conjugation and left * right = I for every move, so
+    phi o (left, right^T, 0) is (-left, right^T, -w) and the moves with
+    these still form a group.
     """
     ia = IntAlgebra(a)
     p = ia.p
     w = coerce_weight(a.field, weight)
-    autos = _automorphisms(ia)
-    moves = _moves(p, autos, *_move_kinds(a, w))
+    members, inverses, strong = _automorphisms(ia)
+    moves = _moves(p, members, inverses, *_move_kinds(a, w))
     if w.value:
         moves += [
             (tuple(tuple(-x % p for x in row) for row in left), right_t, -w.value % p)
             for left, right_t, _ in moves
         ]
     found = _checked_leaves(ia, partial(_rb_pair, ia, w.value), auto=False, moves=moves)
-    return w, autos, found
+    return w, strong, found
 
 
 def _rb_operators(a: Algebra, w, found) -> list[RBOperator]:
@@ -576,20 +425,59 @@ def enumerate_rb(a: Algebra, weight) -> list[RBOperator]:
     return _rb_operators(a, w, found)
 
 
-def _automorphisms(ia: IntAlgebra) -> list:
-    """All automorphisms (grading-preserving when graded), sorted.
+def _automorphisms(ia: IntAlgebra) -> tuple:
+    """All automorphisms (grading-preserving when graded), from a
+    stabiliser chain with base e_0, ..., e_{dim-1} (Sims, Computational
+    methods in the study of permutation groups, 1970; Leon, Permutation
+    group algorithms based on partitions I, J. Symbolic Comput. 12, 1991).
 
-    These residue columns are the automorphisms rbx works with; the search
-    encodes multiplicativity only, over nonzero columns (_full_pools), and
-    singular leaves are dropped.
+    Returns (members, inverses, strong): every automorphism by its
+    columns, sorted row-major; the rows of each one's inverse, in the same
+    order; and (g, rows of g^-1) for each strong generator g.  Those that
+    fix e_0..e_{c-1} generate the automorphisms that fix them.
+
+    G_c, the automorphisms that fix e_0..e_{c-1}, is found for c = dim - 1
+    down to 0.  The orbit of e_c is closed under the strong generators
+    found so far (_close); each value v of column c's pool outside it is
+    searched with columns < c fixed to e_0..e_{c-1} and column c to v, and
+    the first invertible leaf joins the strong generators.  With no such
+    leaf, no value in the orbit of v under G_{c+1} (complete, and fixing
+    e_c) has one either, and they are skipped.  Each member of G is then
+    one product t_0 o ... o t_{dim-1}, t_c from the transversal of G_c
+    (_transversal, _listed), checked like any search's results.
     """
-    found = _checked_leaves(ia, partial(_auto_pair, ia), auto=True)
-    return [cols for cols in found if _inverse_mod_p(cols, ia.p) is not None]
+    p, dim = ia.p, ia.dim
+    pair = partial(_auto_pair, ia)
+    pools = _pools(ia, pair, auto=True)
+    base = [pool[e] for pool, e in zip(pools, _identity(dim))]
+    strong: list = []
+    transversals = []
+    for c in reversed(range(dim)):
+        above = strong[:]  # generates G_{c+1}
+        orbit = _close(p, {base[c]: None}, strong)
+        skipped: set = set()
+        for v in pools[c]:
+            if v in orbit or v in skipped:
+                continue
+            fixed = [{e: e} for e in base[:c]] + [{v: v}] + pools[c + 1:]
+            for leaf in _search(ia, pair, fixed):
+                inv = _inverse_mod_p(tuple(zip(*leaf)), p)
+                if inv is not None:
+                    strong.append((leaf, inv))
+                    _close(p, orbit, strong)
+                    break
+            else:
+                skipped.update(_close(p, {v: None}, above))
+        transversals.append(_transversal(p, orbit, dim))
+    listed = _listed(p, transversals[::-1], pools)
+    listed.sort(key=lambda member: pack_columns(member[0], dim))
+    members = _check(ia, pair, [cols for cols, _ in listed], auto=True)
+    return members, [inv for _, inv in listed], strong
 
 
 def enumerate_automorphisms(a: Algebra) -> list[Matrix]:
     """All algebra automorphisms as matrices, in the order of _automorphisms."""
-    return _columns_to_matrices(a.field, _automorphisms(IntAlgebra(a)), a.dim)
+    return _columns_to_matrices(a.field, _automorphisms(IntAlgebra(a))[0], a.dim)
 
 
 def _leibniz_rows(ia: IntAlgebra) -> list:

@@ -4,8 +4,7 @@ The brute force is built with FieldElement matrices from the automorphisms
 and the recorded antiautomorphism, not with the search's residue moves, so
 the tests can check which values of R(e_0) the search runs over.  The
 results of the operator searches orbit_classify runs can be recorded too,
-so a test reads the automorphisms and residue columns without a second
-search.
+so a test reads the residue columns without a second search.
 """
 
 import itertools
@@ -15,7 +14,7 @@ from rbx.search import enumerate_automorphisms
 
 
 def record_rb_search_results(monkeypatch) -> list:
-    """The (w, autos, found) of each _rb_search that orbit_classify runs."""
+    """The (w, strong, found) of each _rb_search that orbit_classify runs."""
     results = []
     real = orbits._rb_search
 

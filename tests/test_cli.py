@@ -466,6 +466,12 @@ GOLDEN = {
     "enumerate-sl2_f7-rb-w1": ("enumerate", "--algebra", fx("sl2_f7.alg"), "--weight", "1"),
     "enumerate-k3_f5-rb-w0": ("enumerate", "--algebra", fx("k3_f5.alg"), "--weight", "0"),
     "enumerate-m2_f3-rb-w1": ("enumerate", "--algebra", fx("m2_f3.alg"), "--weight", "1"),
+    # automorphisms listed from a stabiliser chain: graded, with unit at
+    # e_0, with none, and noncommutative
+    **{
+        f"enumerate-{alg}-auto": ("enumerate", "--algebra", fx(f"{alg}.alg"), "--kind", "auto")
+        for alg in ("gr2_f3", "m2_f3", "k3_f5", "j3_f5", "sl2_f7", "j4_f5")
+    },
 }
 
 

@@ -372,7 +372,8 @@ def test_dropped_values_fail_the_field_checker(name, kind):
 
 @pytest.mark.parametrize("name", [n for n in PRIME_FIXTURES if n != "j4_f13"])
 def test_inverse_mod_p_matches_matrix_inverse(name):
-    # j4_f13 is left out: its automorphism search runs for minutes
+    # j4_f13 is left out: its automorphism search takes about 6 s, and its
+    # listed inverses are checked in test_search.py's chain test
     a = load(name).algebra
     for h in enumerate_automorphisms(a):
         inv = h.inverse()
@@ -441,7 +442,12 @@ def test_bad_move_rejects_its_images(monkeypatch):
     bad = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
     assert not check_automorphism(a, _columns_to_matrix(a.field, bad, 4))
     real = search._automorphisms
-    monkeypatch.setattr(search, "_automorphisms", lambda ia: [bad] + real(ia))
+
+    def with_bad(ia):
+        members, inverses, strong = real(ia)
+        return [bad] + members, [_inverse_mod_p(tuple(zip(*bad)), ia.p)] + inverses, strong
+
+    monkeypatch.setattr(search, "_automorphisms", with_bad)
     with pytest.raises(LeafRejectedError):
         enumerate_rb(a, 0)
 
@@ -531,15 +537,18 @@ def test_one_integer_check_per_leaf(monkeypatch, kind):
         count_calls(monkeypatch, algebras, "check_automorphism"),
     ]
     batches = count_calls(monkeypatch, search, "_passing")
+    # the results: the derivation search's leaves, or the automorphisms
+    # the stabiliser chain lists from its transversals
     leaves = []
-    real_search = search._search
+    name = "_search" if kind == "derivation" else "_listed"
+    real = getattr(search, name)
 
-    def recording_search(*args):
-        found = real_search(*args)
-        leaves.extend(found)
+    def recording(*args):
+        found = real(*args)
+        leaves.extend(found if kind == "derivation" else [cols for cols, _ in found])
         return list(found)
 
-    monkeypatch.setattr(search, "_search", recording_search)
+    monkeypatch.setattr(search, name, recording)
     a = load("gr2_f3").algebra
     found = enumerate_derivations(a, 1) if kind == "derivation" else enumerate_automorphisms(a)
     assert len(found) == (730 if kind == "derivation" else 432)

@@ -1,11 +1,12 @@
 """Orbit classification and the claim suite.
 
-orbit_classify runs its own operator search and closes each orbit from a
-few generators of the group of moves.  The tests compare it with a closure
-under the moves one at a time and with the images of each orbit's first
-operator under every move of the group, check that the moves form a group
-and that the generators give every automorphism, count the T6 orbits by
-Burnside's lemma, and count the automorphism searches each command makes.
+orbit_classify runs its own operator search and closes each orbit from
+the moves of the automorphisms' strong generators.  The tests compare it
+with a closure under the moves one at a time and with the images of each
+orbit's first operator under every move of the group, check that the
+moves form a group and that the strong generators give every
+automorphism, count the T6 orbits by Burnside's lemma, and count the
+automorphism searches each command makes.
 """
 
 import contextlib
@@ -16,7 +17,7 @@ import re
 
 import pytest
 
-from rbx import orbits, rb, search
+from rbx import orbits, rb, residues, search
 from rbx.algebras import grassmann2, kaplansky3, matrix_algebra, sl2
 from rbx.cli import main
 from rbx.errors import LeafRejectedError, OrbitEscapeError
@@ -140,8 +141,8 @@ def test_pattern_claims_need_equality(monkeypatch):
     # a closure that reaches every operator but also a non-operator fails
     real = orbits._closure_of_patterns
 
-    def too_big(p, autos, patterns):
-        return real(p, autos, patterns) | {(1,) * len(autos[0]) ** 2}
+    def too_big(p, strong, patterns):
+        return real(p, strong, patterns) | {(1,) * len(patterns[0]) ** 2}
 
     monkeypatch.setattr(orbits, "_closure_of_patterns", too_big)
     rep = verify_claim("P2-k3-weight0")
@@ -248,9 +249,10 @@ def test_moves_closed_under_composition():
     # the premise of orbit_classify: on M2/F3 at weight 0 the moves
     # (automorphisms, transposition, scalars) are already the whole group
     a = matrix_algebra(F3, 2)
-    moves = search._moves(3, search._automorphisms(search.IntAlgebra(a)), a.antiauto, (1, 2))
-    pairs = {(left, tuple(zip(*right_t))) for left, right_t, _ in moves}
-    assert len(pairs) == len(moves) == 24 * 2 * 2
+    members, inverses, _ = search._automorphisms(search.IntAlgebra(a))
+    listed = residues._moves(3, members, inverses, a.antiauto, (1, 2))
+    pairs = {(left, tuple(zip(*right_t))) for left, right_t, _ in listed}
+    assert len(pairs) == len(listed) == 24 * 2 * 2
     for l1, r1 in pairs:
         for l2, r2 in pairs:
             # first (l1, r1), then (l2, r2)
@@ -267,14 +269,14 @@ ALGEBRAS = {
 }
 
 
-def whole_group_orbits(p, moves, seeds):
+def whole_group_orbits(p, group, seeds):
     """(seed, size, members) for each seed that no earlier orbit holds, the
     members being the seed's images under every move of the group."""
     seen, out = set(), []
     for cols in seeds:
         packed = search.pack_columns(cols, len(cols))
         if packed not in seen:
-            members = frozenset(search._conjugate(p, move, cols) for move in moves)
+            members = frozenset(residues._conjugate(p, move, cols) for move in group)
             seen |= members
             out.append((packed, len(members), members))
     return out
@@ -289,13 +291,14 @@ def test_generator_orbits_match_whole_group_images(monkeypatch, name, weight):
     p = a.field.p
     results = record_rb_search_results(monkeypatch)
     report = orbit_classify(a, weight)
-    [(_, autos, found)] = results
+    [(_, _, found)] = results
     # conjugation by each automorphism and the antiautomorphism, at weight 0
     # times each nonzero scalar
     scalars = (1,) if weight % p else range(1, p)
-    moves = search._moves(p, autos, a.antiauto, scalars)
+    members, inverses, _ = search._automorphisms(search.IntAlgebra(a))
+    listed = residues._moves(p, members, inverses, a.antiauto, scalars)
     got = [(o.rep, o.size, o.members) for o in report.orbits]
-    assert got == whole_group_orbits(p, moves, found)
+    assert got == whole_group_orbits(p, listed, found)
 
 
 @pytest.mark.parametrize("claim", ["P1-gr2-weight0", "P2-k3-weight0"])
@@ -303,12 +306,12 @@ def test_pattern_orbits_match_whole_group_images(claim):
     build, patterns = CLAIMS[claim].run.args[1:]
     [p] = CLAIMS[claim].primes
     a = build(PrimeField(p))
-    autos = search._automorphisms(search.IntAlgebra(a))
+    autos, inverses, strong = search._automorphisms(search.IntAlgebra(a))
     seeds = [tuple(zip(*rows)) for rows in patterns(p)]
-    gens = search._move_generators(p, a.dim, autos)
+    gens = residues._move_generators(p, a.dim, strong)
     got = [(rep, len(members), members) for rep, members in orbits._orbits(p, gens, seeds)]
-    assert got == whole_group_orbits(p, search._moves(p, autos), seeds)
-    closure = orbits._closure_of_patterns(p, autos, patterns(p))
+    assert got == whole_group_orbits(p, residues._moves(p, autos, inverses), seeds)
+    closure = orbits._closure_of_patterns(p, strong, patterns(p))
     assert closure == set().union(*(members for _, _, members in got))
 
 
@@ -320,12 +323,15 @@ def _rows(cols):
 def test_generators_give_every_automorphism(name):
     a = ALGEBRAS[name]()
     p, dim = a.field.p, a.dim
-    autos = search._automorphisms(search.IntAlgebra(a))
-    gens = search._generators(p, dim, autos)
+    autos, _, strong = search._automorphisms(search.IntAlgebra(a))
+    gens = [g for g, _ in strong]
     identity = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
     assert identity not in gens and set(gens) <= set(autos)
     # each generator at least doubles the subgroup the earlier ones generate
     assert 2 ** len(gens) <= len(autos)
+    # each strong generator's listed inverse is its inverse
+    for g, inv in strong:
+        assert _matmul(p, inv, _rows(g)) == identity
     closure = {_rows(g) for g in gens}
     frontier = list(closure)
     while frontier:
@@ -336,15 +342,6 @@ def test_generators_give_every_automorphism(name):
                 closure.add(y)
                 frontier.append(y)
     assert closure == {_rows(h) for h in autos}
-
-
-def test_generators_follow_no_product_outside_the_list():
-    # g turns the plane by a quarter over F3; g^2 is left out of the list,
-    # so g^3 is not reached through it and joins the generators
-    g = ((0, 1), (2, 0))
-    g3 = ((0, 2), (1, 0))
-    assert search._generators(3, 2, [g, g3]) == [g, g3]
-    assert search._generators(3, 2, [g, ((2, 0), (0, 2)), g3]) == [g]
 
 
 def test_t6_orbit_count_by_burnside():
@@ -400,8 +397,16 @@ FIXES_E0 = ((1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 def _with_bad_automorphism(monkeypatch, bad):
+    # bad joins the listed group, whose moves split the search, and the
+    # strong generators, from which the orbits are closed
     real = search._automorphisms
-    monkeypatch.setattr(search, "_automorphisms", lambda ia: real(ia) + [bad])
+
+    def with_bad(ia):
+        members, inverses, strong = real(ia)
+        inv = residues._inverse_mod_p(tuple(zip(*bad)), ia.p)
+        return members + [bad], inverses + [inv], strong + [(bad, inv)]
+
+    monkeypatch.setattr(search, "_automorphisms", with_bad)
 
 
 def _classify_m2_f3_w0():
@@ -457,6 +462,8 @@ def _count_automorphism_searches(monkeypatch) -> list:
         ["classify", "--algebra", str(FIXTURES / "m2_f3.alg"), "--weight", "0"],
         ["verify", "--claim", "P1-gr2-weight0"],
         ["verify", "--claim", "T6-soundness"],
+        ["enumerate", "--algebra", str(FIXTURES / "gr2_f3.alg"), "--weight", "1"],
+        ["enumerate", "--algebra", str(FIXTURES / "gr2_f3.alg"), "--kind", "auto"],
     ],
 )
 def test_one_automorphism_search_per_command(monkeypatch, argv):

@@ -1,10 +1,13 @@
+import collections
 import functools
+import math
 import pathlib
 import random
+import sys
 
 import pytest
 
-from rbx import search
+from rbx import residues, search
 from rbx.algebras import (
     Algebra,
     cayley_dickson,
@@ -33,7 +36,6 @@ from rbx.search import (
 from split_oracle import (
     column0_orbits,
     column0_searched,
-    record_rb_search_results,
     record_rb_searches,
 )
 
@@ -429,7 +431,7 @@ def _basis_change(a, p_mat):
     [("m2_f3", 1, 290), ("gr2_f3", 0, 315), ("gr2_f3", 1, 148), ("sl2_f5", 1, 392),
      ("k3_f5", 0, 145)],
 )
-def test_basis_change_twins(monkeypatch, name, weight, count):
+def test_basis_change_twins(name, weight, count):
     # R is an operator on A^P exactly when P R P^-1 is one on A, and psi an
     # automorphism of A^P exactly when P psi P^-1 is one of A.  A^P declares
     # no unit and no antiautomorphism, and its e_0 is P e_0, so its search
@@ -441,9 +443,8 @@ def test_basis_change_twins(monkeypatch, name, weight, count):
     twin = _basis_change(a, p_mat)
     assert twin.table != a.table
     p_inv = p_mat.inverse()
-    results = record_rb_search_results(monkeypatch)
     report, twin_report = orbit_classify(a, weight), orbit_classify(twin, weight)
-    [(_, autos, _), (_, twin_autos, _)] = results
+    autos, twin_autos = (search._automorphisms(search.IntAlgebra(x))[0] for x in (a, twin))
 
     p = a.field.p
     p_rows, inv_rows = ([[x.value for x in row] for row in m.data] for m in (p_mat, p_inv))
@@ -469,6 +470,111 @@ def test_basis_change_twins(monkeypatch, name, weight, count):
         assert {frozenset(map(pushed.get, orb.members)) for orb in twin_report.orbits} == partition
 
 
+# --- the automorphisms' stabiliser chain -------------------------------------
+
+# |Aut| of each prime-field fixture; J(1,1,1) over F_q has 2q(q^2 - 1)
+AUT_ORDERS = {
+    "gr2_f3": 432, "k3_f3": 24, "k3_f5": 120, "m2_f3": 24, "j3_f5": 8,
+    "j4_f5": 2 * 5 * (5**2 - 1), "j4_f13": 2 * 13 * (13**2 - 1), "sl2_f7": 336, "cd_f5": 120,
+}
+# the twins of test_basis_change_twins, which draws one P per algebra
+TWINS = {"m2_f3": 24, "gr2_f3": 432, "sl2_f5": 120, "k3_f5": 120}
+
+
+def _twin(name):
+    a = ALGEBRAS[name]()
+    return _basis_change(a, _random_invertible(a.field, a.grading or (0,) * a.dim,
+                                               random.Random(name)))
+
+
+def _rows_product(p, a, b):
+    """The rows of a * b over F_p, for a and b given by their rows."""
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)) for row in a)
+
+
+def _invertible_leaves(ia):
+    """The plain search over the whole pools, its invertible leaves sorted."""
+    pools = search._full_pools(ia, auto=True)
+    found = search._search(ia, functools.partial(search._auto_pair, ia),
+                           [dict(zip(pool, pool)) for pool in pools])
+    return sorted((cols for cols in found if search._inverse_mod_p(cols, ia.p) is not None),
+                  key=lambda cols: pack_columns(cols, ia.dim))
+
+
+@pytest.mark.parametrize(
+    "name,order",
+    [*AUT_ORDERS.items(), *((f"twin-{name}", order) for name, order in TWINS.items())],
+)
+def test_stabiliser_chain_lists_the_group(name, order):
+    a = _twin(name[5:]) if name.startswith("twin-") else _fixture(name)
+    ia = search.IntAlgebra(a)
+    p, dim = ia.p, ia.dim
+    members, inverses, strong = search._automorphisms(ia)
+    assert len(members) == order
+    # the plain search takes minutes on J(1,1,1)/F13
+    if name != "j4_f13":
+        assert members == _invertible_leaves(ia)
+    identity = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+    assert len(inverses) == order
+    for h, inv in zip(members, inverses):
+        assert _rows_product(p, inv, tuple(zip(*h))) == identity
+    # those strong generators that fix e_0..e_{c-1} move e_c over its whole
+    # orbit, the transversal of the chain's level c
+    gens = [tuple(zip(*g)) for g, _ in strong]
+    lengths = []
+    for c in range(dim):
+        level = [g for g in gens if all(g[i][:c] == identity[i][:c] for i in range(dim))]
+        orbit, frontier = {identity[c]}, [identity[c]]
+        for v in frontier:
+            for g in level:
+                u = tuple(sum(x * y for x, y in zip(row, v)) % p for row in g)
+                if u not in orbit:
+                    orbit.add(u)
+                    frontier.append(u)
+        lengths.append(len(orbit))
+    assert math.prod(lengths) == order
+    # the strong generators close breadth first to the whole group
+    closure, frontier = {identity}, [identity]
+    for x in frontier:
+        for g in gens:
+            y = _rows_product(p, g, x)
+            if y not in closure:
+                closure.add(y)
+                frontier.append(y)
+    assert closure == {tuple(zip(*h)) for h in members}
+
+
+def test_one_inverse_per_transversal_element(monkeypatch):
+    # the members' inverses are products of the transversals' inverses;
+    # Gauss-Jordan runs once per transversal element but the identity, and
+    # once per leaf tried as a strong generator
+    ia = search.IntAlgebra(grassmann2(F3))
+    calls = []
+    real_inverse, real_search = search._inverse_mod_p, search._search
+    leaves = []
+
+    def inverse(rows, p):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return real_inverse(rows, p)
+
+    def recording(*args):
+        found = real_search(*args)
+        leaves.extend(found)
+        return found
+
+    monkeypatch.setattr(search, "_inverse_mod_p", inverse)
+    monkeypatch.setattr(residues, "_inverse_mod_p", inverse)
+    monkeypatch.setattr(search, "_search", recording)
+    members, _, strong = search._automorphisms(ia)
+    assert len(members) == 432
+    by_caller = collections.Counter(calls)
+    # the transversals' lengths are 1, 24, 18 and 1
+    assert by_caller["_transversal"] == 23 + 17
+    assert len(strong) <= by_caller["_automorphisms"] <= len(leaves)
+    assert set(by_caller) == {"_transversal", "_automorphisms"}
+    assert len(calls) < 100
+
+
 # --- node consistency: each pool cut once by its own pair (c, c) -------------
 
 
@@ -485,22 +591,30 @@ def _pair(ia, kind, weight):
 @pytest.mark.parametrize("kind,weight", [("rb", 0), ("rb", 1), ("rb", 2), ("auto", 0),
                                          ("derivation", 0), ("derivation", 1)])
 def test_cut_pools_change_no_search(monkeypatch, name, kind, weight):
-    # every _search the enumerator runs (for operators: the automorphisms,
-    # then the split search under their moves; for derivations at w != 0
-    # the multiplicative maps, at w = 0 none) returns the same list, in the
-    # same order, as on the whole pools
-    real_search, real_cut = search._search, search._node_consistent
+    # every _search the enumerator runs (for operators: the automorphisms'
+    # stabiliser chain, one search per value it tries, then the split
+    # search under their moves; for derivations at w != 0 the
+    # multiplicative maps, at w = 0 none) returns the same list, in the
+    # same order, with each cut pool it reads replaced by the whole pool;
+    # the columns the chain fixes stay fixed
+    real_search, real_pools = search._search, search._pools
+    whole = {}  # id of each cut pool -> (that pool, the whole pool)
     searched = []
+
+    def cut(ia, pair, auto):
+        pools = real_pools(ia, pair, auto)
+        for pool, full in zip(pools, search._full_pools(ia, auto)):
+            whole[id(pool)] = (pool, dict(zip(full, full)))
+        return pools
 
     def both(ia, pair, pools, moves=()):
         found = real_search(ia, pair, pools, moves)
-        monkeypatch.setattr(search, "_node_consistent", lambda ia, pair, pools: pools)
-        whole = real_search(ia, pair, pools, moves)
-        monkeypatch.setattr(search, "_node_consistent", real_cut)
-        assert found == whole
+        uncut = [whole[id(pool)][1] if id(pool) in whole else pool for pool in pools]
+        assert real_search(ia, pair, uncut, moves) == found
         searched.append(pair.func)
         return found
 
+    monkeypatch.setattr(search, "_pools", cut)
     monkeypatch.setattr(search, "_search", both)
     a = ALGEBRAS[name]()
     if kind == "rb":
@@ -509,9 +623,12 @@ def test_cut_pools_change_no_search(monkeypatch, name, kind, weight):
         enumerate_derivations(a, weight)
     else:
         enumerate_automorphisms(a)
-    expected = {"rb": [search._auto_pair, search._rb_pair], "auto": [search._auto_pair],
-                "derivation": [search._auto_pair] if weight else []}[kind]
-    assert searched == expected
+    if kind == "derivation":
+        assert searched == ([search._auto_pair] if weight else [])
+    else:
+        chain = searched[:-1] if kind == "rb" else searched
+        assert chain and set(chain) == {search._auto_pair}
+        assert kind == "auto" or searched[-1] is search._rb_pair
 
 
 @pytest.mark.parametrize(
