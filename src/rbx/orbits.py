@@ -6,7 +6,7 @@ antiautomorphism (transposition on matrix algebras), and, for weight zero
 only, rescaling the whole matrix.  The moves generate a finite group.
 orbit_classify takes the strong generators of the automorphisms and the
 operators from one call of search._rb_search, which also serves
-enumerate_rb and the pattern claims, and partitions the operators.  Each
+enumerate_rb and the claims, and partitions the operators.  Each
 orbit is closed breadth first from a few generators of the group
 (residues._move_generators: the strong generators of the automorphisms'
 stabiliser chain, the antiautomorphism, the nonzero scalars at weight 0),
@@ -20,6 +20,15 @@ of the group without it.
 
 The claims form one table, CLAIMS: each row names the primes and weight
 its claim runs over, and the phrase `rbx verify` prints when it holds.
+They decide their facts on the residue columns the searches have already
+checked (search._check): splitting as R(R e_j) + w R e_j = 0 for every j,
+the unit killed as R 1 = 0 or R 1 = -w 1, and a derivation invertible when
+residues._inverse_mod_p finds its inverse.  T2 also looks up phi(R) among
+the checked operators, and raises OrbitEscapeError when it is missing.  The
+FieldElement predicates (rb.is_splitting, rb.apply_phi, Matrix.rank) are
+kept for `rbx check` and `rbx construct` and as the tests' oracles; T6
+alone reads FieldElement operators, re-checking each orbit representative
+and reading kernels and images.
 """
 
 from __future__ import annotations
@@ -32,17 +41,18 @@ from functools import partial
 from .algebras import Algebra, grassmann2, jordan_form, kaplansky3, matrix_algebra
 from .errors import OrbitEscapeError
 from .fields import PrimeField
-from .linalg import Matrix, vec_is_zero
-from .rb import (
-    RBOperator,
-    _diagnostics,
-    _image_all_degenerate,
-    apply_phi,
-    is_splitting,
-    weight0_matrix_ops,
+from .linalg import vec_is_zero
+from .rb import RBOperator, _diagnostics, _image_all_degenerate, weight0_matrix_ops
+from .residues import (
+    _conjugate,
+    _inverse_mod_p,
+    _matmul,
+    _move_generators,
+    _move_kinds,
+    _to_int_rows,
+    pack_columns,
 )
-from .residues import _conjugate, _move_generators, _move_kinds, _to_int_rows, pack_columns
-from .search import _rb_operators, _rb_search, enumerate_derivations, enumerate_rb
+from .search import IntAlgebra, _derivations, _rb_operators, _rb_search
 
 
 def _pack_rows(rows: tuple) -> tuple:
@@ -186,28 +196,56 @@ class ClaimReport:
         return "\n".join(body)
 
 
+def _splits(p: int, w: int, cols) -> bool:
+    """R (R + w id) = 0, for R by its residue columns: R(R e_j) + w R e_j = 0
+    for every j."""
+    square = _matmul(p, cols, tuple(zip(*cols)))  # the columns of R R
+    return all(
+        not any((y + w * x) % p for y, x in zip(sq, col)) for sq, col in zip(square, cols)
+    )
+
+
+def _kills_unit(p: int, w: int, cols, unit) -> bool:
+    """R 1 = 0 or phi(R) 1 = -R 1 - w 1 = 0, for R by its residue columns
+    and 1 by its residues."""
+    [image] = _matmul(p, (unit,), tuple(zip(*cols)))
+    return not any(image) or not any((y + w * u) % p for y, u in zip(image, unit))
+
+
+def _phi_images_found(p: int, w: int, dim: int, found) -> None:
+    """Raise OrbitEscapeError unless phi(R) = -R - w id is among the checked
+    operators found for every R in found."""
+    keys = {pack_columns(cols, dim) for cols in found}
+    for key in keys:
+        image = tuple((-x - w * (k % (dim + 1) == 0)) % p for k, x in enumerate(key))
+        if image not in keys:
+            raise OrbitEscapeError(
+                f"phi of operator {matrix_hex(key, p)} is not among the "
+                f"{len(found)} operators found"
+            )
+
+
 def _claim_even_splitting(p: int, weight: int) -> tuple[bool, list[str]]:
     # even form-space dimension forces splitting for nonzero weight, and the
-    # unit is killed by the operator or by its phi image
+    # unit is killed by the operator or by its phi image, itself an operator
     a = jordan_form(PrimeField(p), [1, 1])
-    ops = enumerate_rb(a, weight)
-    split = all(is_splitting(r) for r in ops)
-    unit_killed = all(
-        vec_is_zero(r.matrix.apply(a.unit)) or vec_is_zero(apply_phi(r).matrix.apply(a.unit))
-        for r in ops
-    )
+    w, _, found = _rb_search(a, weight)
+    _phi_images_found(p, w.value, a.dim, found)
+    unit = tuple(u.value for u in a.unit)
+    split = all(_splits(p, w.value, cols) for cols in found)
+    unit_killed = all(_kills_unit(p, w.value, cols, unit) for cols in found)
     return split and unit_killed, [
-        f"J(1,1) over F{p} weight {weight}: {len(ops)} operators, "
+        f"J(1,1) over F{p} weight {weight}: {len(found)} operators, "
         f"splitting={'all' if split else 'NOT all'}, "
         f"unit killed up to phi={'all' if unit_killed else 'NOT all'}"
     ]
 
 
 def _claim_all_splitting(label: str, build, p: int, weight: int) -> tuple[bool, list[str]]:
-    ops = enumerate_rb(build(PrimeField(p)), weight)
-    split = all(is_splitting(r) for r in ops)
+    w, _, found = _rb_search(build(PrimeField(p)), weight)
+    split = all(_splits(p, w.value, cols) for cols in found)
     return split, [
-        f"{label} over F{p} weight {weight}: {len(ops)} operators, "
+        f"{label} over F{p} weight {weight}: {len(found)} operators, "
         f"splitting={'all' if split else 'NOT all'}"
     ]
 
@@ -297,12 +335,11 @@ def _claim_pattern_closure(
 
 
 def _claim_gr2_derivations(p: int, weight: int) -> tuple[bool, list[str]]:
-    field = PrimeField(p)
-    a = grassmann2(field)
-    ders = enumerate_derivations(a, weight)
-    invertible = [d for d in ders if d.matrix.rank() == a.dim]
-    neg_id = Matrix.identity(field, a.dim).scale(-1)
-    only = len(invertible) == 1 and invertible[0].matrix == neg_id
+    a = grassmann2(PrimeField(p))
+    ders = _derivations(IntAlgebra(a), weight % p)
+    invertible = [d for d in ders if _inverse_mod_p(d, p) is not None]
+    neg_id = tuple(tuple((p - 1) * (i == j) for i in range(a.dim)) for j in range(a.dim))
+    only = len(invertible) == 1 and invertible[0] == neg_id
     return only, [
         f"Gr2 over F{p} weight {weight}: {len(ders)} derivations, "
         f"{len(invertible)} invertible, minus-identity only: {only}"

@@ -116,24 +116,24 @@ def _transversal(p: int, orbit: dict, dim: int) -> list:
     return list(found.values())
 
 
-def _listed(p: int, transversals, pools) -> list:
+def _listed(p: int, transversals, pools, inverses: bool = True) -> list:
     """(columns of t_0 o ... o t_{dim-1}, rows of its inverse
-    t_{dim-1}^-1 o ... o t_0^-1) for one t_c of each transversal, built
-    prefix by prefix.  t_c fixes e_0..e_{c-1}, so appending it keeps the
-    first c columns of the prefix and computes the rest, each interned to
-    its pool's own tuple; the root of each transversal, the identity,
-    keeps the prefix as it is."""
+    t_{dim-1}^-1 o ... o t_0^-1, or None without inverses) for one t_c of
+    each transversal, built prefix by prefix.  t_c fixes e_0..e_{c-1}, so
+    appending it keeps the first c columns of the prefix and computes the
+    rest, each interned to its pool's own tuple; the root of each
+    transversal, the identity, keeps the prefix as it is."""
     dim = len(transversals)
-    level = [(_identity(dim), _identity(dim))]
+    level = [(_identity(dim), _identity(dim) if inverses else None)]
     for c, transversal in enumerate(transversals):
         grown = []
         for cols, inv in level:
             grown.append((cols, inv))
-            rows, inv_cols = tuple(zip(*cols)), tuple(zip(*inv))
+            rows, inv_cols = tuple(zip(*cols)), inv and tuple(zip(*inv))
             for t, t_inv in transversal[1:]:
                 new = _matmul(p, t[c:], rows)
                 grown.append((cols[:c] + tuple(pools[j].get(x, x) for j, x in enumerate(new, c)),
-                              _matmul(p, t_inv, inv_cols)))
+                              inv and _matmul(p, t_inv, inv_cols)))
         level = grown
     return level
 

@@ -24,7 +24,7 @@ enumerator with none of this machinery double-checks the pruned one on
 small spaces.
 
 Rota-Baxter operators are searched in one place, _rb_search, for
-enumerate_rb, orbit_classify and the pattern claims, modulo a group on
+enumerate_rb, orbit_classify and the claims, modulo a group on
 every algebra, by its stabiliser chain.  The moves (conjugation by every
 automorphism, by the recorded antiautomorphism, and at weight 0 scaling
 by every nonzero scalar; the group orbit_classify sorts operators by) map
@@ -43,10 +43,10 @@ is left, the search below is the plain one.  Derivations at w != 0 take
 the plain search.  Automorphisms come from a stabiliser chain of their own
 group, built level by level with one plain search per value that no
 automorphism found so far reaches (_automorphisms); the group is then
-listed once from the chain's transversals, with every member's inverse.
-The split needs every move of the group, for the stabiliser of each node;
-orbit_classify closes its orbits from the moves of the chain's strong
-generators instead (residues._move_generators).
+listed once from the chain's transversals, with every member's inverse
+for the split, which needs every move of the group for the stabiliser of
+each node; orbit_classify closes its orbits from the moves of the chain's
+strong generators instead (residues._move_generators).
 
 All arithmetic here runs on plain integer residues.  Each result, searched
 or image, is checked once, on residues, against the relation of every
@@ -416,25 +416,21 @@ def _rb_operators(a: Algebra, w, found) -> list[RBOperator]:
 
 
 def enumerate_rb(a: Algebra, weight) -> list[RBOperator]:
-    """All Rota-Baxter operators of the given weight, sorted row-major.
-
-    The search is split by the stabiliser chain of the moves, with phi at
-    weight != 0 (_rb_search).
-    """
+    """All Rota-Baxter operators of the given weight, sorted row-major (_rb_search)."""
     w, _, found = _rb_search(a, weight)
     return _rb_operators(a, w, found)
 
 
-def _automorphisms(ia: IntAlgebra) -> tuple:
+def _automorphisms(ia: IntAlgebra, inverses: bool = True) -> tuple:
     """All automorphisms (grading-preserving when graded), from a
     stabiliser chain with base e_0, ..., e_{dim-1} (Sims, Computational
     methods in the study of permutation groups, 1970; Leon, Permutation
     group algorithms based on partitions I, J. Symbolic Comput. 12, 1991).
 
-    Returns (members, inverses, strong): every automorphism by its
-    columns, sorted row-major; the rows of each one's inverse, in the same
-    order; and (g, rows of g^-1) for each strong generator g.  Those that
-    fix e_0..e_{c-1} generate the automorphisms that fix them.
+    Returns (members, inverses, strong): every automorphism by its columns,
+    sorted row-major; the rows of each one's inverse in the same order, or
+    None unless inverses; and (g, rows of g^-1) for each strong generator
+    g.  Those that fix e_0..e_{c-1} generate the automorphisms that fix them.
 
     G_c, the automorphisms that fix e_0..e_{c-1}, is found for c = dim - 1
     down to 0.  The orbit of e_c is closed under the strong generators
@@ -469,15 +465,15 @@ def _automorphisms(ia: IntAlgebra) -> tuple:
             else:
                 skipped.update(_close(p, {v: None}, above))
         transversals.append(_transversal(p, orbit, dim))
-    listed = _listed(p, transversals[::-1], pools)
+    listed = _listed(p, transversals[::-1], pools, inverses)
     listed.sort(key=lambda member: pack_columns(member[0], dim))
     members = _check(ia, pair, [cols for cols, _ in listed], auto=True)
-    return members, [inv for _, inv in listed], strong
+    return members, [inv for _, inv in listed] if inverses else None, strong
 
 
 def enumerate_automorphisms(a: Algebra) -> list[Matrix]:
     """All algebra automorphisms as matrices, in the order of _automorphisms."""
-    return _columns_to_matrices(a.field, _automorphisms(IntAlgebra(a))[0], a.dim)
+    return _columns_to_matrices(a.field, _automorphisms(IntAlgebra(a), inverses=False)[0], a.dim)
 
 
 def _leibniz_rows(ia: IntAlgebra) -> list:
@@ -494,30 +490,33 @@ def _leibniz_rows(ia: IntAlgebra) -> list:
     return rows
 
 
-def enumerate_derivations(a: Algebra, weight) -> list[LinearOperator]:
-    """All maps obeying the weighted derivation identity, sorted row-major:
-    at w != 0, (phi - id) / w for each checked multiplicative phi, each column
-    built once; at w = 0, the nullspace of _leibniz_rows, listed by its
-    coefficients on the reduced basis, whose ascending pivots keep the order."""
-    ia, w = IntAlgebra(a), coerce_weight(a.field, weight).value
-    p, dim = ia.p, ia.dim
+def _derivations(ia: IntAlgebra, w: int) -> list:
+    """The maps obeying the derivation identity of residue weight w, as checked
+    residue columns sorted row-major: at w != 0, (phi - id) / w for each checked
+    multiplicative phi, each column built once; at w = 0, the nullspace of
+    _leibniz_rows by its coefficients on the reduced basis (pivots ascending)."""
+    a, p, dim = ia.algebra, ia.p, ia.dim
     if w:
         inv = pow(w, p - 2, p)
         back = cache(lambda c, y: tuple((x - (k == c)) * inv % p for k, x in enumerate(y)))
-        found = sorted((tuple(map(back, range(dim), phi))
-                        for phi in _checked_leaves(ia, partial(_auto_pair, ia), auto=False)),
-                       key=lambda cols: pack_columns(cols, dim))
-    else:
-        rows = _leibniz_rows(ia)
-        basis = [[x.value for x in b] for b in rank_nullspace(Matrix(a.field, rows))[1].basis]
-        if p ** len(basis) > RAW_GUARD:
-            raise SearchSpaceTooLargeError(f"{p}^{len(basis)} maps exceed the enumeration guard")
-        if any(sum(map(mul, row, b)) % p for b in basis for row in rows):
-            raise LeafRejectedError(f"a derivation basis vector on {a.name} fails its check")
-        flat = [tuple(sum(c * b[n] for c, b in zip(cs, basis)) % p for n in range(dim * dim))
-                for cs in itertools.product(range(p), repeat=len(basis))]
-        found = [tuple(v[c::dim] for c in range(dim)) for v in flat]
-    return [LinearOperator(a, m) for m in _columns_to_matrices(a.field, found, dim)]
+        return sorted((tuple(map(back, range(dim), phi))
+                       for phi in _checked_leaves(ia, partial(_auto_pair, ia), auto=False)),
+                      key=lambda cols: pack_columns(cols, dim))
+    rows = _leibniz_rows(ia)
+    basis = [[x.value for x in b] for b in rank_nullspace(Matrix(a.field, rows))[1].basis]
+    if p ** len(basis) > RAW_GUARD:
+        raise SearchSpaceTooLargeError(f"{p}^{len(basis)} maps exceed the enumeration guard")
+    if any(sum(map(mul, row, b)) % p for b in basis for row in rows):
+        raise LeafRejectedError(f"a derivation basis vector on {a.name} fails its check")
+    flat = [tuple(sum(c * b[n] for c, b in zip(cs, basis)) % p for n in range(dim * dim))
+            for cs in itertools.product(range(p), repeat=len(basis))]
+    return [tuple(v[c::dim] for c in range(dim)) for v in flat]
+
+
+def enumerate_derivations(a: Algebra, weight) -> list[LinearOperator]:
+    """The maps of _derivations as operators, one FieldElement per residue."""
+    found = _derivations(IntAlgebra(a), coerce_weight(a.field, weight).value)
+    return [LinearOperator(a, m) for m in _columns_to_matrices(a.field, found, a.dim)]
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,15 @@ import pathlib
 import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rbx import orbits, rb, residues, search
-from rbx.algebras import grassmann2, kaplansky3, matrix_algebra, sl2
+from rbx.algebras import grassmann2, jordan_form, kaplansky3, matrix_algebra, sl2
 from rbx.cli import main
 from rbx.errors import LeafRejectedError, OrbitEscapeError
 from rbx.fields import PrimeField
-from rbx.linalg import Matrix
+from rbx.linalg import Matrix, vec_is_zero
 from rbx.orbits import (
     CLAIMS,
     matrix_hex,
@@ -30,7 +32,13 @@ from rbx.orbits import (
     pack_operator,
     verify_claim,
 )
-from rbx.rb import LinearOperator, weight0_matrix_ops
+from rbx.rb import (
+    LinearOperator,
+    apply_phi,
+    is_splitting,
+    nonsplit_weight1_op,
+    weight0_matrix_ops,
+)
 from rbx.search import enumerate_automorphisms, enumerate_rb
 
 from split_oracle import (
@@ -385,6 +393,105 @@ def test_representatives_checked_once(monkeypatch):
     assert len(calls) == len(report.orbits) == 5
 
 
+# --- the claims' residue predicates against the FieldElement ones ------------
+
+PREDICATE_CASES = {
+    "J(1,1)/F3": lambda: jordan_form(F3, [1, 1]),
+    "J(1,1)/F5": lambda: jordan_form(F5, [1, 1]),
+    "Gr2/F3": lambda: grassmann2(F3),
+    "K3/F3": lambda: kaplansky3(F3),
+    "K3/F5": lambda: kaplansky3(F5),
+    "M2/F3": lambda: matrix_algebra(F3, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PREDICATE_CASES))
+def test_residue_predicates_match_field_elements(name):
+    # on every weight-1 operator: R(R + w id) = 0 by rb.is_splitting, and
+    # the unit killed by R or by rb.apply_phi(R)
+    a = PREDICATE_CASES[name]()
+    p = a.field.p
+    w, _, found = search._rb_search(a, 1)
+    ops = search._rb_operators(a, w, found)
+    splits = [orbits._splits(p, w.value, cols) for cols in found]
+    assert splits == [is_splitting(r) for r in ops]
+    if a.unit is not None:
+        unit = tuple(u.value for u in a.unit)
+        kills = [orbits._kills_unit(p, w.value, cols, unit) for cols in found]
+        assert kills == [
+            vec_is_zero(r.matrix.apply(a.unit)) or vec_is_zero(apply_phi(r).matrix.apply(a.unit))
+            for r in ops
+        ]
+    if name == "M2/F3":
+        # the negative cases: 48 operators are not splitting, among them
+        # rb.nonsplit_weight1_op, and 72 kill neither the unit nor its phi
+        assert (len(found), splits.count(False), kills.count(False)) == (290, 48, 72)
+        nonsplit = pack_operator(nonsplit_weight1_op(F3))
+        assert not splits[[pack_operator(r) for r in ops].index(nonsplit)]
+
+
+def test_derivation_invertibility_matches_rank():
+    a = grassmann2(F3)
+    ders = search._derivations(search.IntAlgebra(a), 1)
+    ops = search.enumerate_derivations(a, 1)
+    assert [search.pack_columns(d, 4) for d in ders] == [pack_operator(d) for d in ops]
+    invertible = [residues._inverse_mod_p(d, 3) is not None for d in ders]
+    assert invertible == [d.matrix.rank() == 4 for d in ops]
+    assert (len(ders), invertible.count(True)) == (730, 1)
+
+
+@st.composite
+def square_matrices(draw):
+    """(p, rows) over F3 or F5, half of them with the last row a combination
+    of the others, so singular."""
+    p = draw(st.sampled_from([3, 5]))
+    n = draw(st.integers(1, 4))
+    entries = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    rows = draw(st.lists(entries, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(0, p - 1), min_size=n - 1, max_size=n - 1))
+        rows[-1] = [sum(c * row[k] for c, row in zip(coeffs, rows)) % p for k in range(n)]
+    return p, rows
+
+
+@given(square_matrices())
+def test_residue_inverse_matches_rank(drawn):
+    p, rows = drawn
+    inv = residues._inverse_mod_p(rows, p)
+    assert (inv is not None) == (Matrix(PrimeField(p), rows).rank() == len(rows))
+    if inv is not None:
+        identity = tuple(tuple(int(i == j) for j in range(len(rows))) for i in range(len(rows)))
+        assert _matmul(p, rows, inv) == identity
+
+
+def _drop_zero_operator(monkeypatch):
+    # the zero operator is first in row-major order; its phi preimage,
+    # -w id, stays among the operators found
+    real = orbits._rb_search
+
+    def dropping(a, weight):
+        w, strong, found = real(a, weight)
+        return w, strong, found[1:]
+
+    monkeypatch.setattr(orbits, "_rb_search", dropping)
+
+
+def test_missing_phi_image_raises(monkeypatch):
+    _drop_zero_operator(monkeypatch)
+    # -id on J(1,1)/F3 is 2 id, row-major 200 020 002 base 3
+    with pytest.raises(OrbitEscapeError, match="phi of operator 33e6 is not among the 25"):
+        verify_claim("T2-even-splitting")
+
+
+def test_missing_phi_image_exits_2(monkeypatch):
+    _drop_zero_operator(monkeypatch)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", "--claim", "T2-even-splitting"])
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue().startswith("error: phi of operator 33e6 ")
+
+
 # --- a bad automorphism among the moves -------------------------------------
 
 # Two maps that are invertible but not multiplicative on M2 (basis e11, e12,
@@ -447,9 +554,9 @@ def _count_automorphism_searches(monkeypatch) -> list:
     calls = []
     real = search._automorphisms
 
-    def counted(ia):
+    def counted(ia, **kwargs):
         calls.append(ia.algebra.name)
-        return real(ia)
+        return real(ia, **kwargs)
 
     monkeypatch.setattr(search, "_automorphisms", counted)
     return calls
