@@ -51,12 +51,14 @@ from .rb import (
     triple_to_rb,
     weight0_matrix_ops,
 )
+from .residues import pack_columns
 from .search import (
-    enumerate_automorphisms,
-    enumerate_automorphisms_raw,
-    enumerate_derivations,
-    enumerate_rb,
-    enumerate_rb_raw,
+    IntAlgebra,
+    _automorphism_columns,
+    _automorphisms_raw,
+    _derivations,
+    _rb_raw,
+    _rb_search,
 )
 from .ybe import (
     corner_pair_tensor,
@@ -188,20 +190,20 @@ def _cmd_enumerate(args) -> int:
         raise RbxError("--weight does not apply to --kind auto")
     a = _load_algebra(args)
     head = f"enumerate algebra={a.name}"
+    # every listing is checked residue columns, sorted row-major
     if kind == "auto":
-        found = enumerate_automorphisms_raw(a) if args.raw else enumerate_automorphisms(a)
+        found = _automorphisms_raw(a) if args.raw else _automorphism_columns(a)
     else:
         if kind == "rb":
             w = _weight(args, a.field, a.field.zero)
-            ops = enumerate_rb_raw(a, w) if args.raw else enumerate_rb(a, w)
+            found = _rb_raw(a, w)[1] if args.raw else _rb_search(a, w)[2]
         else:
             w = _weight(args, a.field, a.field.one)
-            ops = enumerate_derivations(a, w)
+            found = _derivations(IntAlgebra(a), w.value)
         head += f" weight={w}"
-        found = [op.matrix for op in ops]
     print(f"{head} kind={kind} count={len(found)}")
-    for m in found:
-        print(" ".join(str(c) for row in m.data for c in row))
+    for cols in found:
+        print(" ".join(map(str, pack_columns(cols, a.dim))))
     return 0
 
 

@@ -50,11 +50,14 @@ strong generators instead (residues._move_generators).
 
 All arithmetic here runs on plain integer residues.  Each result, searched
 or image, is checked once, on residues, against the relation of every
-ordered basis pair, all results in one pass that decides each distinct
+ordered basis pair (on a commutative algebra, of every pair i <= j, as
+the search itself), all results in one pass that decides each distinct
 relation instance once (_passing); a result that fails or a result found
-twice is an internal error and raises LeafRejectedError.  Only then do
-matrices become FieldElement objects, one per residue shared by every
-entry, through constructors that do not check them again.
+twice is an internal error and raises LeafRejectedError.  rbx enumerate
+prints these checked residue columns as they are.  Only the public
+enumerate_* functions turn them into FieldElement objects, one per
+residue shared by every entry, through constructors that do not check
+them again.
 """
 
 from __future__ import annotations
@@ -303,6 +306,9 @@ def _passing(ia: IntAlgebra, pair, leaves) -> list:
     """The leaves (full column assignments) meeting the identity of pair,
     in order: the map sends v to u, sum_m v[m] * C_m == u (mod p), on every
     ordered basis pair (i, j), the pairs the FieldElement checkers test.
+    On a commutative algebra only the pairs with i <= j are tested, as
+    _new_pairs does: b_ib_j = b_jb_i, so the relation of (j, i) is that of
+    (i, j) term for term, for operators and multiplicative maps alike.
 
     pair(cols, i, j) reads only C_i and C_j, so it runs once per distinct
     (C_i, C_j), and its relation is decided once per distinct tuple of the
@@ -310,7 +316,7 @@ def _passing(ia: IntAlgebra, pair, leaves) -> list:
     """
     p = ia.p
     for i in range(ia.dim):
-        for j in range(ia.dim):
+        for j in range(i if ia.commutative else 0, ia.dim):
             # (C_i, C_j) -> ((m, v[m]) with v[m] != 0, u, verdict per C_m tuple)
             relations: dict = {}
             kept = []
@@ -351,10 +357,12 @@ def _pools(ia: IntAlgebra, pair, auto: bool) -> list:
 
 def _check(ia: IntAlgebra, pair, found, auto: bool) -> list:
     """found, which the caller sorted row-major, once every result in it
-    is checked on residues.
+    is checked on residues; callers print it or build matrices from it
+    with no further check.
 
-    All results, searched and image, are checked in one _passing call; the
-    first found twice or failing raises LeafRejectedError.
+    All results, searched and image, are checked in one _passing call, on
+    the pairs i <= j alone when the algebra is commutative; the first found
+    twice or failing raises LeafRejectedError.
     """
     passed = {id(cols) for cols in _passing(ia, pair, found)}
     prev = None
@@ -471,9 +479,14 @@ def _automorphisms(ia: IntAlgebra, inverses: bool = True) -> tuple:
     return members, [inv for _, inv in listed] if inverses else None, strong
 
 
+def _automorphism_columns(a: Algebra) -> list:
+    """The checked members of _automorphisms, without their inverses."""
+    return _automorphisms(IntAlgebra(a), inverses=False)[0]
+
+
 def enumerate_automorphisms(a: Algebra) -> list[Matrix]:
     """All algebra automorphisms as matrices, in the order of _automorphisms."""
-    return _columns_to_matrices(a.field, _automorphisms(IntAlgebra(a), inverses=False)[0], a.dim)
+    return _columns_to_matrices(a.field, _automorphism_columns(a), a.dim)
 
 
 def _leibniz_rows(ia: IntAlgebra) -> list:
@@ -531,8 +544,10 @@ def _guard(p: int, dim: int, limit: int):
         )
 
 
-def enumerate_rb_raw(a: Algebra, weight) -> list[RBOperator]:
-    """Plain full enumeration of operator matrices; small spaces only.
+def _rb_raw(a: Algebra, weight) -> tuple:
+    """(w, found): the weight in a's field and every operator of that
+    weight as residue columns sorted row-major, from a plain full
+    enumeration; small spaces only.
 
     Each sweep of the last column is one _passing call."""
     ia = IntAlgebra(a)
@@ -544,15 +559,26 @@ def enumerate_rb_raw(a: Algebra, weight) -> list[RBOperator]:
     for head in itertools.product(space, repeat=ia.dim - 1):
         found += _passing(ia, pair, [(*head, last) for last in space])
     found.sort(key=lambda cols: pack_columns(cols, ia.dim))
-    return _rb_operators(a, w, found)
+    return w, found
 
 
-def enumerate_automorphisms_raw(a: Algebra) -> list[Matrix]:
-    """Filter every matrix through check_automorphism; small spaces only."""
+def enumerate_rb_raw(a: Algebra, weight) -> list[RBOperator]:
+    """The operators of _rb_raw as RBOperators."""
+    return _rb_operators(a, *_rb_raw(a, weight))
+
+
+def _automorphisms_raw(a: Algebra) -> list:
+    """Every matrix that check_automorphism accepts, as residue columns
+    sorted row-major; small spaces only."""
     ia = IntAlgebra(a)
     _guard(ia.p, ia.dim, RAW_AUTO_GUARD)
     space = itertools.product(range(ia.p), repeat=ia.dim)
     found = [cols for cols in itertools.product(space, repeat=ia.dim)
              if check_automorphism(a, _columns_to_matrix(a.field, cols, ia.dim))]
     found.sort(key=lambda cols: pack_columns(cols, ia.dim))
-    return _columns_to_matrices(a.field, found, ia.dim)
+    return found
+
+
+def enumerate_automorphisms_raw(a: Algebra) -> list[Matrix]:
+    """The automorphisms of _automorphisms_raw as matrices."""
+    return _columns_to_matrices(a.field, _automorphisms_raw(a), a.dim)

@@ -10,6 +10,14 @@ import sys
 import pytest
 
 from rbx.cli import build_parser, main
+from rbx.formats import algebra_from_text
+from rbx.search import (
+    enumerate_automorphisms,
+    enumerate_automorphisms_raw,
+    enumerate_derivations,
+    enumerate_rb,
+    enumerate_rb_raw,
+)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -466,6 +474,10 @@ GOLDEN = {
     "enumerate-sl2_f7-rb-w1": ("enumerate", "--algebra", fx("sl2_f7.alg"), "--weight", "1"),
     "enumerate-k3_f5-rb-w0": ("enumerate", "--algebra", fx("k3_f5.alg"), "--weight", "0"),
     "enumerate-m2_f3-rb-w1": ("enumerate", "--algebra", fx("m2_f3.alg"), "--weight", "1"),
+    # characteristic 2, and a commutative algebra whose leaf check tests
+    # each pair (i, j) with i <= j once
+    "enumerate-tp4_f2-rb-w1": ("enumerate", "--algebra", fx("tp4_f2.alg"), "--allow-char2",
+                               "--weight", "1"),
     # automorphisms listed from a stabiliser chain: graded, with unit at
     # e_0, with none, and noncommutative
     **{
@@ -627,3 +639,77 @@ def test_option_the_kind_or_mode_ignores_exits_2(argv, message):
     assert code == 2
     assert out == ""
     assert err.splitlines()[0] == f"error: {message}"
+
+
+# --- enumerate prints the residue columns the search checked ----------------
+
+# (fixture, kind, weight, raw) for every prime-field fixture the CLI loads
+# (tp2_f3_false_unit.alg fails its unit law); left out, as each would take
+# over 5 s twice over: rb on cd_f5, j4_f5 and j4_f13, auto and derivation
+# at w1 on j4_f13, and the raw operators of m2_f3
+ORACLE_CASES = [
+    *[(name, kind, w, False)
+      for name in ("gr2_f3", "j3_f5", "k3_f3", "k3_f5", "m2_f3", "sl2_f7", "tp4_f2")
+      for kind, w in (("rb", 0), ("rb", 1), ("derivation", 1), ("auto", None))],
+    *[(name, kind, w, False)
+      for name in ("cd_f5", "j4_f5")
+      for kind, w in (("derivation", 1), ("auto", None))],
+    *[(name, "derivation", 0, False) for name in ("j4_f5", "j4_f13", "k3_f5", "m2_f3")],
+    ("k3_f3", "rb", 0, True), ("k3_f3", "rb", 1, True), ("tp4_f2", "rb", 1, True),
+    ("k3_f3", "auto", None, True),
+]
+
+
+def oracle_listing(name: str, kind: str, w, raw: bool) -> str:
+    """What enumerate printed when it rendered the FieldElement matrices of
+    the public enumerators."""
+    a = algebra_from_text((FIXTURES / f"{name}.alg").read_text(), allow_char2=True)
+    head = f"enumerate algebra={a.name}"
+    if kind == "auto":
+        found = (enumerate_automorphisms_raw if raw else enumerate_automorphisms)(a)
+    else:
+        w = a.field.parse(str(w))
+        head += f" weight={w}"
+        if kind == "rb":
+            ops = (enumerate_rb_raw if raw else enumerate_rb)(a, w)
+        else:
+            ops = enumerate_derivations(a, w)
+        found = [op.matrix for op in ops]
+    lines = [f"{head} kind={kind} count={len(found)}"]
+    lines += [" ".join(str(c) for row in m.data for c in row) for m in found]
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize(
+    "name,kind,w,raw", ORACLE_CASES,
+    ids=[f"{n}-{k}{'' if w is None else f'-w{w}'}{'-raw' if raw else ''}"
+         for n, k, w, raw in ORACLE_CASES],
+)
+def test_enumerate_prints_what_the_enumerators_return(name, kind, w, raw):
+    argv = ["enumerate", "--algebra", fx(f"{name}.alg"), "--kind", kind]
+    argv += ["--allow-char2"] if name == "tp4_f2" else []
+    argv += [] if w is None else ["--weight", str(w)]
+    argv += ["--raw"] if raw else []
+    code, out, _ = run(*argv)
+    assert code == 0
+    assert out == oracle_listing(name, kind, w, raw)
+
+
+@pytest.mark.parametrize(
+    "options", [("rb",), ("auto",), ("derivation",), ("rb", "--raw"), ("auto", "--raw")],
+    ids=["rb", "auto", "derivation", "rb-raw", "auto-raw"],
+)
+def test_enumerate_over_q_exits_2(options):
+    code, out, err = run("enumerate", "--algebra", fx("m2_q.alg"), "--kind", *options)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[0] == "error: search runs over prime fields"
+
+
+@pytest.mark.parametrize("kind", ["rb", "derivation"])
+def test_enumerate_bad_weight_is_reported_before_the_field(kind):
+    code, out, err = run("enumerate", "--algebra", fx("m2_q.alg"), "--kind", kind,
+                         "--weight", "1/0")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[0] == "error: bad rational literal '1/0'"

@@ -14,6 +14,7 @@ operator check it once.
 """
 
 import contextlib
+import copy
 import functools
 import io
 import operator
@@ -21,11 +22,18 @@ import pathlib
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbx import algebras, rb, search
-from rbx.algebras import Algebra, check_automorphism, termwise_power
+from rbx.algebras import (
+    Algebra,
+    check_automorphism,
+    grassmann2,
+    jordan_form,
+    matrix_algebra,
+    termwise_power,
+)
 from rbx.cli import main
 from rbx.errors import LeafRejectedError, NotInvertibleError
 from rbx.fields import PrimeField
@@ -310,6 +318,78 @@ def test_each_auto_leaf_check_rejects():
         verdicts[verdict] += 1
         assert field_says(ia, "auto", cols, 0) == (verdict == "auto")
     assert all(verdicts.values())
+
+
+# --- the pairs the leaf check tests -------------------------------------------
+
+# _passing tests the pairs (i, j) with i <= j on a commutative algebra and
+# every ordered pair otherwise
+PAIR_ALGEBRAS = {
+    "J(1,1)/F3": lambda: jordan_form(PrimeField(3), [1, 1]),
+    "TP4/F2": lambda: termwise_power(PrimeField(2, allow_char2=True), 4),
+    "Gr2/F3": lambda: grassmann2(PrimeField(3)),
+    "M2/F3": lambda: matrix_algebra(PrimeField(3), 2),
+}
+
+
+@functools.cache
+def pair_algebra(name: str) -> IntAlgebra:
+    return IntAlgebra(PAIR_ALGEBRAS[name]())
+
+
+@functools.cache
+def upper_solutions(name: str, kind: str, w: int) -> tuple:
+    """The maps meeting the pairs (i, j) with i <= j alone, found by a search
+    told the algebra is commutative.  Every result is among them; on M2/F3
+    so are maps that fail some pair (j, i), which a check of the pairs
+    i <= j alone would keep."""
+    ia = pair_algebra(name)
+    upper = copy.copy(ia)
+    upper.commutative = True
+    pair = pair_of(ia, kind, w)
+    return tuple(search._search(upper, pair, search._pools(upper, pair, auto=False)))
+
+
+@st.composite
+def pair_candidates(draw, name: str, kind: str, w: int):
+    ia = pair_algebra(name)
+    p, dim = ia.p, ia.dim
+    source = draw(st.sampled_from(("random", "upper", "near-miss")))
+    if source == "random":
+        flat = draw(st.lists(st.integers(0, p - 1), min_size=dim * dim, max_size=dim * dim))
+        return tuple(tuple(flat[j * dim : (j + 1) * dim]) for j in range(dim))
+    cols = draw(st.sampled_from(upper_solutions(name, kind, w)))
+    if source == "near-miss":
+        j, k = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        col = list(cols[j])
+        col[k] = (col[k] + draw(st.integers(1, p - 1))) % p
+        cols = cols[:j] + (tuple(col),) + cols[j + 1 :]
+    return cols
+
+
+@pytest.mark.parametrize(
+    "name,kind,w",
+    [(name, kind, w) for name in PAIR_ALGEBRAS
+     for kind, w in (("rb", 0), ("rb", 1), ("auto", 0))],
+)
+def test_passing_tests_the_pairs_the_field_checker_needs(name, kind, w):
+    # a batch of random matrices, solutions of the pairs i <= j alone, and
+    # near misses of those: _passing keeps exactly what check_rb or
+    # check_automorphism accepts, on commutative algebras too
+    ia = pair_algebra(name)
+    assert ia.commutative == (name in ("J(1,1)/F3", "TP4/F2"))
+    if name == "M2/F3":
+        full = search._search(ia, pair_of(ia, kind, w),
+                              search._pools(ia, pair_of(ia, kind, w), auto=False))
+        assert len(upper_solutions(name, kind, w)) > len(full)
+
+    @settings(derandomize=True)
+    @given(st.lists(pair_candidates(name, kind, w), min_size=1, max_size=8))
+    def agree(batch):
+        expected = [cols for cols in batch if field_says(ia, kind, cols, w)]
+        assert int_passing(ia, kind, batch, w) == expected
+
+    agree()
 
 
 # --- values the search drops before it starts --------------------------------
