@@ -51,7 +51,7 @@ strong generators instead (residues._move_generators).
 All arithmetic here runs on plain integer residues.  Each result, searched
 or image, is checked once, on residues, against the relation of every
 ordered basis pair (on a commutative algebra, of every pair i <= j, as
-the search itself), all results in one pass that decides each distinct
+in the search itself), all results in one pass that decides each distinct
 relation instance once (_passing); a result that fails or a result found
 twice is an internal error and raises LeafRejectedError.  rbx enumerate
 prints these checked residue columns as they are.  Only the public
